@@ -51,8 +51,12 @@ class DeltaAwareImprints(SecondaryIndex):
             )
         self.consolidate_threshold = consolidate_threshold
         self._imprints_kwargs = imprints_kwargs
-        self.base_index = ColumnImprints(column, **imprints_kwargs)
-        self.delta = DeltaColumn(column)
+        # The base imprint and its delta change together (see rebase), so
+        # they live in one attribute a reader loads at once.
+        self._state = (
+            ColumnImprints(column, **imprints_kwargs),
+            DeltaColumn(column),
+        )
         self.consolidations = 0
         # Version counter for cursor/cache invalidation: every mutation
         # and every consolidation bumps it, and recovery advances it by
@@ -61,6 +65,14 @@ class DeltaAwareImprints(SecondaryIndex):
         self.version = 0
 
     # ------------------------------------------------------------------
+    @property
+    def base_index(self) -> ColumnImprints:
+        return self._state[0]
+
+    @property
+    def delta(self) -> DeltaColumn:
+        return self._state[1]
+
     @property
     def n_rows(self) -> int:
         """Logical rows (base + pending appends)."""
@@ -99,23 +111,38 @@ class DeltaAwareImprints(SecondaryIndex):
 
     def consolidate(self) -> None:
         """Materialise the delta and rebuild the index (one scan)."""
-        merged = self.delta.materialize()
-        self.base_index = ColumnImprints(merged, **self._imprints_kwargs)
-        self.delta = DeltaColumn(merged)
-        self.column = merged
+        self.rebase(self.delta.materialize())
         self.consolidations += 1
+
+    def rebase(self, merged: Column) -> None:
+        """Adopt ``merged`` — this index's materialised delta — as the base.
+
+        The object is updated in place, so everything holding it (a
+        :class:`~repro.engine.executor.QueryExecutor`, a service) sees
+        the new state; a reader mid-query keeps the base/delta pair it
+        started with.  The version bumps, so cursors go stale.
+        """
+        self._state = (
+            ColumnImprints(merged, **self._imprints_kwargs),
+            DeltaColumn(merged),
+        )
+        self.column = merged
         self.version += 1
 
     # ------------------------------------------------------------------
     # reads: base answer + merge
     # ------------------------------------------------------------------
     def query(self, predicate: RangePredicate) -> QueryResult:
-        base = self.base_index.query(predicate)
-        if self.delta.n_pending == 0:
+        return self._query(self._state, predicate)
+
+    def _query(self, state, predicate: RangePredicate) -> QueryResult:
+        base_index, delta = state
+        base = base_index.query(predicate)
+        if delta.n_pending == 0:
             # Re-stamp: cursors and cache keys must track *this* index's
             # version, not the inner base imprint's.
             return base.stamp_version(self.version)
-        merged = self.delta.merge_result(base.ids, predicate.low, predicate.high)
+        merged = delta.merge_result(base.ids, predicate.low, predicate.high)
         stats = base.stats
         stats.ids_materialized = int(merged.shape[0])
         return QueryResult(ids=merged, stats=stats).stamp_version(self.version)
@@ -130,19 +157,37 @@ class DeltaAwareImprints(SecondaryIndex):
         :meth:`values_at` — correctness over speed until the next
         consolidation restores the fast path.
         """
-        if self.delta.n_pending == 0:
-            return self.base_index.aggregate(predicate, op)
-        result = self.query(predicate)
+        state = self._state
+        base_index, delta = state
+        if delta.n_pending == 0:
+            return base_index.aggregate(predicate, op)
+        return self._reduce(state, self._query(state, predicate), op)
+
+    def aggregate_answer(self, result: QueryResult, op: str):
+        """Reduce an answer of this index over the *logical* column: the
+        base sidecar while the delta is empty, gathered values else."""
+        state = self._state
+        base_index, delta = state
+        if delta.n_pending == 0:
+            return base_index.aggregate_answer(result, op)
+        return self._reduce(state, result, op)
+
+    def _reduce(self, state, result: QueryResult, op: str):
         if op == "count":
             return result.count()
-        return reduce_gathered(self.values_at(result.ids), op)
+        return reduce_gathered(self._values_at(state, result.ids), op)
 
     def values_at(self, ids: np.ndarray) -> np.ndarray:
         """Current (delta-applied) values for an id list — what a tuple
         reconstruction would see."""
+        return self._values_at(self._state, ids)
+
+    @staticmethod
+    def _values_at(state, ids: np.ndarray) -> np.ndarray:
+        base_index, delta = state
         logical = np.concatenate(
-            [self.base_index.column.values, self.delta.appended_values]
+            [base_index.column.values, delta.appended_values]
         )
-        for vid, value in self.delta.updated_items():
+        for vid, value in delta.updated_items():
             logical[vid] = value
         return logical[np.asarray(ids, dtype=np.int64)]

@@ -5,12 +5,17 @@ index; it arrives as a concurrent stream across many columns, with
 heavy repetition.  :class:`QueryExecutor` turns that stream into the
 shapes the kernels below are fastest at:
 
-* **micro-batching** — submissions against the same column are held for
-  a bounded window (or until the batch fills) and then answered by one
-  ``query_batch`` pass, which shares the stored-vector mask tests
-  across the whole batch (and, for a
+* **natural batching** — a submission against a column with no batch
+  in flight dispatches at once; submissions that arrive while that
+  column's batch runs queue behind it and go out together (up to
+  ``max_batch``) the moment it finishes.  Each batch is answered by one
+  ``query_batch`` pass, which shares the stored-vector mask tests across
+  the whole batch (and, for a
   :class:`~repro.engine.sharded.ShardedColumnImprints`, fans the pass
-  out over shards);
+  out over shards).  Followers gather exactly while the kernel is busy,
+  the way group commit gathers writes behind a running fsync, so an
+  idle column pays no batching latency at all.  An explicit positive
+  ``batch_window`` instead holds every batch for a fixed window;
 * **request coalescing** — identical predicates inside a batch are
   evaluated once and the result is shared by every waiter;
 * **result caching** — a bounded LRU keyed by
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 from ..errors import DeadlineExceeded, ExecutorClosedError
 from ..index_base import QueryResult, SecondaryIndex
@@ -69,13 +74,17 @@ class QueryExecutor:
         kernel, others fall back to per-query evaluation inside the
         batch).
     batch_window:
-        Seconds a batch leader waits for followers before dispatch.
-        ``0`` dispatches every submission immediately (no scheduler
-        latency, no cross-request sharing beyond what is already
-        pending).
+        ``0`` (the default) batches naturally: a column runs one batch
+        at a time, a submission to an idle column dispatches
+        immediately, and submissions arriving while the column's batch
+        runs form its next batch.  A positive value is a fixed linger:
+        a batch leader waits this many seconds for followers before
+        dispatch, and one column may have several batches in flight.
     max_batch:
-        Dispatch a column's batch as soon as it holds this many
-        submissions, regardless of the window.
+        Largest batch: a natural batch takes at most this many queued
+        submissions (the rest form the batches after it); a windowed
+        batch dispatches as soon as it holds this many, regardless of
+        the window.
     cache_size:
         Capacity of the whole-result LRU (0 disables result caching).
     cache_bytes:
@@ -113,7 +122,7 @@ class QueryExecutor:
         self,
         indexes: dict[str, SecondaryIndex] | None = None,
         *,
-        batch_window: float = 0.002,
+        batch_window: float = 0.0,
         max_batch: int = 64,
         cache_size: int = 1024,
         cache_bytes: int = 256 << 20,
@@ -125,6 +134,7 @@ class QueryExecutor:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.batch_window = batch_window
+        self._natural = batch_window == 0
         self.max_batch = max_batch
         self.planner = planner
         self._indexes: dict[str, SecondaryIndex] = {}
@@ -134,15 +144,21 @@ class QueryExecutor:
         self._wakeup = threading.Condition(self._lock)
         self._pending: dict[str, list[tuple[RangePredicate, Future]]] = {}
         self._deadlines: dict[str, float] = {}
+        #: Natural batching: columns whose batch is on the worker pool.
+        self._running: set[str] = set()
         self._closed = False
         self._pool = ThreadPoolExecutor(
             max_workers=n_workers if n_workers is not None else default_workers(),
             thread_name_prefix="imprint-exec",
         )
-        self._scheduler = threading.Thread(
-            target=self._run_scheduler, name="imprint-batcher", daemon=True
-        )
-        self._scheduler.start()
+        # Only a fixed window needs a timer; natural batching dispatches
+        # from the submitting thread and from the finishing batch.
+        self._scheduler: threading.Thread | None = None
+        if batch_window > 0:
+            self._scheduler = threading.Thread(
+                target=self._run_scheduler, name="imprint-batcher", daemon=True
+            )
+            self._scheduler.start()
         for name, index in (indexes or {}).items():
             self.register(name, index)
 
@@ -274,11 +290,14 @@ class QueryExecutor:
                 raise ExecutorClosedError("executor is closed")
             queue = self._pending.setdefault(name, [])
             fresh_deadline = not queue
-            if fresh_deadline:
-                self._deadlines[name] = time.monotonic() + self.batch_window
             queue.append((predicate, fut, deadline, backend))
             self.stats.bump(submitted=1)
-            if len(queue) >= self.max_batch or self.batch_window == 0:
+            if self._natural:
+                self._dispatch_locked(name)
+                return fut
+            if fresh_deadline:
+                self._deadlines[name] = time.monotonic() + self.batch_window
+            if len(queue) >= self.max_batch:
                 self._dispatch_locked(name)
             elif fresh_deadline:
                 # Followers piggyback on the leader's deadline; only a
@@ -329,7 +348,7 @@ class QueryExecutor:
             queue = self._pending.setdefault(name, [])
             fresh_deadline = not queue
             queue.extend(misses)
-            if self.batch_window == 0:
+            if self._natural:
                 self._dispatch_locked(name)
             elif len(queue) >= self.max_batch:
                 while len(queue) >= self.max_batch:
@@ -420,13 +439,14 @@ class QueryExecutor:
         return [future.result() for future in futures]
 
     def flush(self) -> None:
-        """Dispatch every pending batch immediately and wait for them."""
+        """Dispatch every pending batch and wait for all of them.
+
+        Windowed batches go immediately; naturally batched entries
+        already go as soon as the batch ahead of them finishes, so for
+        them this only waits.
+        """
         with self._lock:
-            futures = [
-                fut
-                for queue in self._pending.values()
-                for _, fut, _, _ in queue
-            ]
+            futures = self._pending_futures()
             for name in list(self._pending):
                 self._dispatch_locked(name)
         for future in futures:
@@ -465,12 +485,9 @@ class QueryExecutor:
         cached_result = self._cached_result(name, index, predicate)
         if cached_result is not None:
             # The whole answer is already cached — reduce it without
-            # touching the kernel (and without expanding ids).
-            value = cached_result.aggregate(
-                op,
-                index.column.values,
-                getattr(index, "cacheline_aggregates", None),
-            )
+            # touching the kernel (and, given a sidecar, without
+            # expanding ids).
+            value = index.aggregate_answer(cached_result, op)
             self.stats.bump(submitted=1, cache_hits=1)
         else:
             value = index.aggregate(predicate, op)
@@ -628,12 +645,43 @@ class QueryExecutor:
             return index.query_batch(predicates)
         return index.query_batch(predicates, backend=backend)
 
+    def _pending_futures(self) -> list[Future]:
+        """Futures of every queued entry (lock held)."""
+        return [
+            fut for queue in self._pending.values() for _, fut, _, _ in queue
+        ]
+
     def _dispatch_locked(self, name: str) -> None:
-        """Move a pending batch onto the worker pool (lock held)."""
-        entries = self._pending.pop(name, [])
-        self._deadlines.pop(name, None)
-        if entries:
+        """Move a pending batch onto the worker pool (lock held).
+
+        Windowed, the whole pending queue goes.  Natural, nothing moves
+        while the column's batch is in flight (its completion dispatches
+        the queue); otherwise the first ``max_batch`` entries go.
+        """
+        if self._natural:
+            queue = self._pending.get(name)
+            if not queue or name in self._running:
+                return
+            entries = queue[: self.max_batch]
+            del queue[: self.max_batch]
+            if not queue:
+                del self._pending[name]
+            self._running.add(name)
+        else:
+            entries = self._pending.pop(name, [])
+            self._deadlines.pop(name, None)
+            if not entries:
+                return
+        try:
             self._pool.submit(self._run_batch, name, entries)
+        except RuntimeError:
+            # The pool is gone (interpreter exit): answer, never strand.
+            self._running.discard(name)
+            for _, fut, _, _ in entries + self._pending.pop(name, []):
+                if not fut.done():
+                    fut.set_exception(
+                        ExecutorClosedError("executor closed before evaluation")
+                    )
 
     def _run_scheduler(self) -> None:
         while True:
@@ -794,6 +842,13 @@ class QueryExecutor:
             for _, fut, _, _ in entries:
                 if not fut.done():
                     fut.set_exception(exc)
+        finally:
+            if self._natural:
+                # Release the column even when the batch raised, and send
+                # whatever queued behind it as the next batch.
+                with self._lock:
+                    self._running.discard(name)
+                    self._dispatch_locked(name)
 
     # ------------------------------------------------------------------
     # cache control / lifecycle
@@ -810,8 +865,9 @@ class QueryExecutor:
 
         With ``drain=True`` (the default) pending batches are
         dispatched and their answers delivered before the pool shuts
-        down — the graceful path.  With ``drain=False`` pending entries
-        are failed immediately with
+        down — the graceful path; entries queued behind a running
+        natural batch go out after it, and close waits for them.  With
+        ``drain=False`` pending entries are failed immediately with
         :class:`~repro.errors.ExecutorClosedError` and only batches
         already on the worker pool finish — the fast path a serving
         process takes on abort.  Either way no future is ever left
@@ -826,6 +882,10 @@ class QueryExecutor:
                 return
             self._closed = True
             if drain:
+                # Natural batching dispatches a queue behind a running
+                # batch only when that batch finishes: wait for every
+                # drained answer before the pool stops taking work.
+                draining = self._pending_futures()
                 for name in list(self._pending):
                     self._dispatch_locked(name)
             else:
@@ -839,17 +899,16 @@ class QueryExecutor:
                 fut.set_exception(
                     ExecutorClosedError("executor closed before evaluation")
                 )
-        self._scheduler.join(timeout=5.0)
+        if drain:
+            wait(draining)
+        if self._scheduler is not None:
+            self._scheduler.join(timeout=5.0)
         self._pool.shutdown(wait=True)
         # Backstop: anything that slipped past both paths (a dispatch
         # racing the shutdown, a worker dying mid-batch) must still
         # resolve — a dangling future would hang its waiter forever.
         with self._lock:
-            leftovers = [
-                fut
-                for queue in self._pending.values()
-                for _, fut, _, _ in queue
-            ]
+            leftovers = self._pending_futures()
             self._pending.clear()
             self._deadlines.clear()
         for fut in leftovers:

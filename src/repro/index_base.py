@@ -502,7 +502,12 @@ class SecondaryIndex(ABC):
         cacheline ranges of the answer never touch values.  Returns a
         Python scalar (``None`` for ``min``/``max`` of an empty answer).
         """
-        result = self.query(predicate)
+        return self.aggregate_answer(self.query(predicate), op)
+
+    def aggregate_answer(self, result: QueryResult, op: str):
+        """Reduce ``result`` — an answer this index gave at its current
+        version — to ``COUNT``/``SUM``/``MIN``/``MAX`` without re-running
+        the kernel (the executor's path for a cached answer)."""
         if op == "count":
             return result.count()
         return result.aggregate(op, self.column.values, self.cacheline_aggregates)

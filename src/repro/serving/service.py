@@ -392,7 +392,7 @@ class ImprintService:
                     ids, cursor = result.page(limit)
                     body = {
                         "count": int(result.count()),
-                        "ids": [int(i) for i in ids],
+                        "ids": ids.tolist(),
                         "cursor": None if cursor is None else cursor.encode(),
                     }
                     served_as = "page"
@@ -403,7 +403,7 @@ class ImprintService:
                     result = await self._await_result(future, deadline)
                     body = {
                         "count": int(result.count()),
-                        "ids": [int(i) for i in result.ids],
+                        "ids": result.ids.tolist(),
                         "cursor": None,
                     }
                     served_as = "full"
@@ -634,7 +634,7 @@ class ImprintService:
                     "column": column,
                     "low": low,
                     "high": high,
-                    "ids": [int(i) for i in ids],
+                    "ids": ids.tolist(),
                     "cursor": (
                         None if next_cursor is None else next_cursor.encode()
                     ),

@@ -440,11 +440,14 @@ class DurableStore:
 
         Incremental: only columns with WAL records since the last
         checkpoint (``self.dirty``) are re-materialised and rewritten —
-        a clean column keeps its generation file byte-identical, its
-        live index object, and its cursors.  Correctness is unchanged:
-        a clean column's base already incorporates everything the old
-        WAL could replay into it, so resetting its ``wal_upto`` against
-        the empty new WAL is still a no-op fence.
+        a clean column keeps its generation file byte-identical and its
+        cursors.  Every column keeps its index object: a dirty one is
+        re-based in place (:meth:`DeltaAwareImprints.rebase`), so a
+        holder of :meth:`index` never answers from a retired snapshot.
+        Correctness is unchanged: a clean column's base already
+        incorporates everything the old WAL could replay into it, so
+        resetting its ``wal_upto`` against the empty new WAL is still a
+        no-op fence.
 
         See the module docstring for why each step may crash safely.
         """
@@ -465,11 +468,9 @@ class DurableStore:
             index = self.indexes[name]
             merged = index.delta.materialize()    # 3. snapshot + fence
             self.store.write_column(self.table, name, merged, wal_upto=ckpt_seq)
-            fresh = DeltaAwareImprints(
-                merged, consolidate_threshold=1.0, **self._imprints_kwargs
-            )
-            fresh.version = index.version + 1     # cursors go stale, not back
-            self.indexes[name] = fresh
+            # In place: holders of store.index(name) see the new base,
+            # and the version bump makes cursors go stale, not back.
+            index.rebase(merged)
         catalog = self._catalog()                 # 4. the rotation commit
         catalog["wal_generation"] = new_generation
         for meta in catalog["columns"].values():

@@ -229,3 +229,53 @@ class TestQuarantineThroughTheStack:
                 await service.close()
 
         asyncio.run(body())
+
+
+class TestExecutorAcrossCheckpoints:
+    """An executor built over ``store.index(name)`` keeps seeing the
+    column after a checkpoint re-bases it (no re-registration)."""
+
+    def test_answers_track_writes_on_both_sides_of_a_checkpoint(self):
+        rng = np.random.default_rng(12)
+        store = DurableStore(
+            "store", "t", fs=MemoryFileSystem(), checkpoint_threshold=0.25
+        )
+        store.create_column("x", BASE)
+        logical = BASE.copy()
+        predicates = [(9_000, 11_000), (0, 10_010), (9_900, 10_060)]
+
+        def check(executor):
+            for low, high in predicates:
+                predicate = executor.predicate("x", low, high)
+                want = np.flatnonzero((logical >= low) & (logical < high))
+                assert executor.aggregate("x", predicate, "count") == want.size
+                assert np.array_equal(executor.query("x", predicate).ids, want)
+                assert executor.aggregate("x", predicate, "sum") == int(
+                    logical[want].astype(np.int64).sum()
+                )
+
+        def write(step):
+            nonlocal logical
+            batch = np.arange(10_000 + 60 * step, 10_050 + 60 * step,
+                              dtype=np.int32)
+            store.append("x", batch)
+            logical = np.concatenate([logical, batch])
+            row = int(rng.integers(0, logical.size))
+            store.update("x", row, 9_950)
+            logical[row] = 9_950
+
+        with QueryExecutor({"x": store.index("x")}) as executor:
+            check(executor)
+            step = 0
+            while store.checkpoints == 0:  # past checkpoint_threshold
+                write(step)
+                step += 1
+                check(executor)
+            # the checkpoint folded the appends into a new base
+            assert len(store.index("x").base_index.column) > BASE.size
+            for _ in range(3):  # more writes after the checkpoint
+                write(step)
+                step += 1
+                check(executor)
+            assert store.index("x").n_pending > 0
+            assert executor.index("x") is store.index("x")

@@ -7,6 +7,9 @@ index mutates (appends/updates bump the version, so stale cache
 entries must never be served).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -354,3 +357,280 @@ class TestDeadlines:
             )
             assert_identical(oracle.query(predicate), future.result(timeout=5))
             assert executor.stats.expired == 0
+
+
+# ----------------------------------------------------------------------
+# natural batching (the default, batch_window=0)
+# ----------------------------------------------------------------------
+class GatedIndex:
+    """Stub index whose ``query_batch`` blocks until ``gate`` opens.
+
+    It records every batch it is handed; with no ``version`` the
+    executor keeps no result cache, so every batch reaches the stub.
+    """
+
+    kind = "stub"
+    version = None
+
+    def __init__(self, column, *, fail_first=False):
+        self.column = column
+        self._inner = ColumnImprints(column)
+        self._fail_first = fail_first
+        self.gate = threading.Event()
+        self.calls: list[list] = []
+        self._entered = threading.Semaphore(0)
+
+    def query_batch(self, predicates):
+        self.calls.append(list(predicates))
+        self._entered.release()
+        assert self.gate.wait(timeout=10)
+        if self._fail_first and len(self.calls) == 1:
+            raise RuntimeError("kernel failure")
+        return self._inner.query_batch(predicates)
+
+    def wait_entered(self):
+        """Block until the next batch is inside ``query_batch``."""
+        assert self._entered.acquire(timeout=10)
+
+
+def ranged(k):
+    return RangePredicate.range(0, 1_000 + k, INT)
+
+
+class TestNaturalBatching:
+    def test_idle_submit_dispatches_without_a_window(self, column):
+        stub = GatedIndex(column)
+        with QueryExecutor({"c": stub}) as executor:
+            assert executor.batch_window == 0
+            assert executor._scheduler is None  # no timer thread at all
+            future = executor.submit("c", ranged(0))
+            stub.wait_entered()  # dispatched with nothing to wait for
+            assert stub.calls == [[ranged(0)]]
+            stub.gate.set()
+            assert_identical(
+                ColumnImprints(column).query(ranged(0)), future.result(timeout=10)
+            )
+            assert executor.stats.batches == 1
+
+    def test_submits_behind_a_running_batch_coalesce_into_the_next(
+        self, column
+    ):
+        stub = GatedIndex(column)
+        n = 6
+        with QueryExecutor({"c": stub}) as executor:
+            first = executor.submit("c", ranged(0))
+            stub.wait_entered()
+            followers = [executor.submit("c", ranged(1)) for _ in range(n)]
+            assert not any(f.done() for f in followers)
+            assert len(stub.calls) == 1  # queued, not dispatched
+            stub.gate.set()
+            first.result(timeout=10)
+            results = [f.result(timeout=10) for f in followers]
+            assert all(r is results[0] for r in results)
+            assert stub.calls == [[ranged(0)], [ranged(1)]]
+            assert executor.stats.coalesced == n - 1
+            assert executor.stats.batches == 2
+
+    def test_max_batch_caps_the_queued_batch(self, column):
+        stub = GatedIndex(column)
+        with QueryExecutor({"c": stub}, max_batch=4) as executor:
+            executor.submit("c", ranged(0))
+            stub.wait_entered()
+            queued = [executor.submit("c", ranged(k)) for k in range(1, 11)]
+            stub.gate.set()
+            for future in queued:
+                future.result(timeout=10)
+            assert [len(call) for call in stub.calls] == [1, 4, 4, 2]
+            # queue order is kept across the capped batches
+            assert [p for call in stub.calls for p in call] == [
+                ranged(k) for k in range(11)
+            ]
+
+    def test_submit_many_queues_behind_the_running_batch(self, column):
+        stub = GatedIndex(column)
+        with QueryExecutor({"c": stub}, max_batch=3) as executor:
+            executor.submit("c", ranged(0))
+            stub.wait_entered()
+            futures = executor.submit_many("c", [ranged(k) for k in range(1, 6)])
+            assert len(stub.calls) == 1
+            stub.gate.set()
+            for future in futures:
+                future.result(timeout=10)
+            assert [len(call) for call in stub.calls] == [1, 3, 2]
+
+    def test_deadline_expiring_while_queued_costs_no_kernel_time(
+        self, column
+    ):
+        from repro.errors import DeadlineExceeded
+
+        stub = GatedIndex(column)
+        with QueryExecutor({"c": stub}) as executor:
+            executor.submit("c", ranged(0))
+            stub.wait_entered()
+            deadline = time.monotonic() + 0.01
+            hurried = executor.submit("c", ranged(1), deadline=deadline)
+            patient = executor.submit("c", ranged(2))
+            while time.monotonic() <= deadline:  # let it lapse in the queue
+                time.sleep(0.005)
+            stub.gate.set()
+            with pytest.raises(DeadlineExceeded):
+                hurried.result(timeout=10)
+            patient.result(timeout=10)
+            assert stub.calls == [[ranged(0)], [ranged(2)]]
+            assert executor.stats.expired == 1
+
+    def test_close_with_drain_answers_queued_entries(self, column):
+        from repro.errors import ExecutorClosedError
+
+        stub = GatedIndex(column)
+        executor = QueryExecutor({"c": stub}, max_batch=2)
+        first = executor.submit("c", ranged(0))
+        stub.wait_entered()
+        queued = [executor.submit("c", ranged(k)) for k in range(1, 6)]
+        closer = threading.Thread(target=executor.close)
+        closer.start()
+        stub.gate.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        oracle = ColumnImprints(column)
+        for k, future in enumerate([first] + queued):
+            assert future.done()
+            assert_identical(oracle.query(ranged(k)), future.result())
+        with pytest.raises(ExecutorClosedError):
+            executor.submit("c", ranged(0))
+
+    def test_close_without_drain_fails_queued_entries(self, column):
+        from repro.errors import ExecutorClosedError
+
+        stub = GatedIndex(column)
+        executor = QueryExecutor({"c": stub})
+        first = executor.submit("c", ranged(0))
+        stub.wait_entered()
+        queued = [executor.submit("c", ranged(k)) for k in range(1, 4)]
+        closer = threading.Thread(
+            target=executor.close, kwargs={"drain": False}
+        )
+        closer.start()
+        # failed at once, while the running batch is still held
+        for future in queued:
+            assert isinstance(future.exception(timeout=10), ExecutorClosedError)
+        stub.gate.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        first.result(timeout=0)  # the running batch still finished
+        assert stub.calls == [[ranged(0)]]
+
+    def test_raising_batch_releases_the_column(self, column):
+        stub = GatedIndex(column, fail_first=True)
+        executor = QueryExecutor({"c": stub})
+        try:
+            failing = executor.submit("c", ranged(0))
+            stub.wait_entered()
+            queued = executor.submit("c", ranged(1))
+            stub.gate.set()
+            with pytest.raises(RuntimeError, match="kernel failure"):
+                failing.result(timeout=10)
+            oracle = ColumnImprints(column)
+            assert_identical(oracle.query(ranged(1)), queued.result(timeout=10))
+            # and the column takes fresh submissions afterwards
+            later = executor.submit("c", ranged(2))
+            assert_identical(oracle.query(ranged(2)), later.result(timeout=10))
+            assert len(stub.calls) == 3
+        finally:
+            # no drain: a column that was never released must fail the
+            # test, not hang it
+            executor.close(drain=False)
+
+    def test_columns_run_in_parallel(self, column):
+        held = GatedIndex(column)
+        free = GatedIndex(column)
+        free.gate.set()
+        with QueryExecutor({"a": held, "b": free}, n_workers=2) as executor:
+            blocked = executor.submit("a", ranged(0))
+            held.wait_entered()
+            # column b is idle: it dispatches and answers while a runs
+            executor.submit("b", ranged(1)).result(timeout=10)
+            assert not blocked.done()
+            held.gate.set()
+            blocked.result(timeout=10)
+
+    def test_flush_waits_for_entries_behind_a_running_batch(self, column):
+        stub = GatedIndex(column)
+        with QueryExecutor({"c": stub}) as executor:
+            executor.submit("c", ranged(0))
+            stub.wait_entered()
+            queued = [executor.submit("c", ranged(k)) for k in range(1, 4)]
+            flusher = threading.Thread(target=executor.flush)
+            flusher.start()
+            stub.gate.set()
+            flusher.join(timeout=10)
+            assert not flusher.is_alive()
+            assert all(f.done() for f in queued)
+
+    def test_a_pool_refusing_work_fails_the_entries(self, column):
+        from repro.errors import ExecutorClosedError
+
+        executor = QueryExecutor({"c": ColumnImprints(column)})
+        executor._pool.shutdown()  # what interpreter exit does to it
+        future = executor.submit("c", ranged(0))
+        with pytest.raises(ExecutorClosedError):
+            future.result(timeout=10)
+        executor.close()
+
+    def test_stress_one_batch_in_flight_per_column(self, column):
+        import sys
+
+        class Watched:
+            """Delegates to imprints; records overlapping batches."""
+
+            def __init__(self, column):
+                self.column = column
+                self.version = None
+                self._inner = ColumnImprints(column)
+                self._lock = threading.Lock()
+                self.active = 0
+                self.overlaps = 0
+
+            def query_batch(self, predicates):
+                with self._lock:
+                    self.active += 1
+                    self.overlaps += self.active > 1
+                try:
+                    return self._inner.query_batch(predicates)
+                finally:
+                    with self._lock:
+                        self.active -= 1
+
+        oracle = ColumnImprints(column)
+        watched = {name: Watched(column) for name in ("a", "b", "c")}
+        per_client = 40
+        predicates = [ranged(k % 7) for k in range(per_client)]
+        answers: dict[int, list] = {}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryExecutor(watched, n_workers=4, max_batch=5) as executor:
+
+                def client(slot, name):
+                    futures = [executor.submit(name, p) for p in predicates]
+                    answers[slot] = [
+                        (p, f.result(timeout=30))
+                        for p, f in zip(predicates, futures)
+                    ]
+
+                clients = [
+                    threading.Thread(target=client, args=(slot, name))
+                    for slot, name in enumerate(list(watched) * 3)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in clients)
+                assert executor.stats.submitted == len(clients) * per_client
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(answers) == len(clients)
+        for predicate, result in (a for got in answers.values() for a in got):
+            assert np.array_equal(oracle.query(predicate).ids, result.ids)
+        assert all(index.overlaps == 0 for index in watched.values())

@@ -729,3 +729,73 @@ class TestAggregateExtensions:
             assert both.status == 400
 
         http_scenario(scenario)
+
+
+# ----------------------------------------------------------------------
+# id-list encoding: the JSON bytes on the wire are fixed
+# ----------------------------------------------------------------------
+class TestIdListEncoding:
+    """``/query`` and ``/page`` bodies are byte-identical to encoding the
+    ids as a list of Python ints, whatever the column's width."""
+
+    @staticmethod
+    async def raw_body(client, path: str, params: dict) -> bytes:
+        import urllib.parse
+
+        reader, writer = await asyncio.open_connection(client.host, client.port)
+        try:
+            target = f"{path}?{urllib.parse.urlencode(params)}"
+            writer.write(
+                f"GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n".encode()
+            )
+            await writer.drain()
+            raw = await reader.read(-1)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert b" 200 " in head.split(b"\r\n", 1)[0]
+        return body
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_bodies_match_the_int_list_encoding(self, dtype):
+        import json
+
+        from repro.storage import Column
+
+        values = make_clustered(20_000, dtype, seed=13)
+        index = ColumnImprints(Column(values, name="t.v"))
+        service = ImprintService(QueryExecutor({"v": index}), ServingConfig())
+        empty_low = int(values.max()) + 10
+        ranges = [(LOW, HIGH), (empty_low, empty_low + 5)]
+
+        def old_encoding(body: bytes, ids) -> bytes:
+            payload = json.loads(body)
+            payload["ids"] = [int(i) for i in ids]
+            return json.dumps(payload).encode("utf-8")
+
+        async def body():
+            try:
+                async with ServingHTTPServer(service) as server:
+                    client = ServingClient(*server.address)
+                    for low, high in ranges:
+                        expected = index.query_range(low, high).ids
+                        common = {"column": "v", "low": low, "high": high}
+                        full = await self.raw_body(
+                            client, "/query", {**common, "mode": "full"}
+                        )
+                        assert full == old_encoding(full, expected)
+                        paged = await self.raw_body(
+                            client, "/query",
+                            {**common, "mode": "page", "limit": 50},
+                        )
+                        assert paged == old_encoding(paged, expected[:50])
+                        page = await self.raw_body(
+                            client, "/page", {**common, "limit": 70}
+                        )
+                        assert page == old_encoding(page, expected[:70])
+                    assert expected.size == 0  # the last range is empty
+            finally:
+                await service.close()
+
+        run(body())
