@@ -1,7 +1,7 @@
 """Setup shim.
 
-Kept so ``pip install -e .`` works on environments whose setuptools
-lacks PEP 660 editable-install support (no ``wheel`` package); all
+Kept for tools that still run ``setup.py`` directly (``python setup.py
+--name``) and for pip versions without PEP 660 editable installs; all
 metadata lives in ``pyproject.toml``.
 """
 

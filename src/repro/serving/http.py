@@ -5,14 +5,15 @@ A deliberately small HTTP/1.1 server exposing the
 
 =========================  ================================================
 ``GET /query``             ``column``, ``low``, ``high`` (+ ``mode``,
-                           ``limit``, ``timeout_ms``) — range query,
-                           degradable
+                           ``limit``, ``timeout_ms``, ``format``) — range
+                           query, degradable
 ``GET /aggregate``         ``column``, ``low``, ``high``, ``op`` (count/
                            sum/min/max/avg/var/std) — scalar pushdown;
                            plus ``group_by=`` (grouped count/sum/avg) or
                            ``top_k=`` (largest values, descending)
 ``GET /page``              ``column``, ``low``, ``high``, ``limit``
-                           (+ ``cursor``, ``timeout_ms``) — cursor paging
+                           (+ ``cursor``, ``timeout_ms``, ``format``) —
+                           cursor paging
 ``GET /healthz``           liveness + pressure (never admission-controlled)
 ``GET /stats``             service / admission / engine / cache counters
 ``GET /replicate/manifest``  bootstrap manifest (primary role only)
@@ -42,7 +43,19 @@ Error mapping (the contract ``docs/SERVING.md`` documents)::
     bad parameters         -> 400
     anything else          -> 500
 
-Responses are JSON.  Request lines, headers and bodies are
+Responses are JSON.  With ``format=binary``, ``/query`` and ``/page``
+carry their ids as ``ids_b64`` (base64 of the little-endian unsigned
+ids) and ``ids_dtype`` (``"<u4"`` below 2**32 rows, else ``"<u8"``)
+instead of the ``ids`` list — about two-thirds of the bytes, and far
+cheaper to encode and decode; without ``format`` (or with
+``format=json``) the body is unchanged.  Any other ``format`` is a 400.
+
+Connections are HTTP/1.1 keep-alive unless the client sends
+``Connection: close``; every response is framed by ``Content-Length``.
+:meth:`ServingHTTPServer.close` closes idle connections, and one in
+mid-request closes once it has answered.
+
+Request lines, headers and bodies are
 size-capped; a malformed or oversized request gets a 400 and the
 connection is closed — a network-facing parser must never allocate
 proportionally to hostile input.
@@ -164,11 +177,16 @@ class ServingHTTPServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        self._closing = False
+        #: Writers of connections waiting for their next request head;
+        #: :meth:`close` closes these, a request in flight finishes.
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ServingHTTPServer":
+        self._closing = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -181,8 +199,17 @@ class ServingHTTPServer:
         return self.host, self.port
 
     async def close(self) -> None:
+        """Stop listening and close every idle keep-alive connection.
+
+        A connection in mid-request answers (or is cancelled by its
+        client's death, as always) and then closes instead of waiting
+        for another request.
+        """
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -211,7 +238,8 @@ class ServingHTTPServer:
         # swallows land back in this buffer.
         buffer = bytearray()
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 head_end = buffer.find(b"\r\n\r\n")
                 while head_end == -1:
                     if len(buffer) > MAX_HEAD_BYTES:
@@ -229,6 +257,7 @@ class ServingHTTPServer:
                         close=True,
                     )
                     return
+                self._idle.discard(writer)
                 head = bytes(buffer[:head_end + 4])
                 del buffer[:head_end + 4]
                 keep_alive = await self._handle_request(
@@ -248,6 +277,7 @@ class ServingHTTPServer:
             # try/finally, so a disconnect can never leak capacity.
             raise
         finally:
+            self._idle.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -309,6 +339,7 @@ class ServingHTTPServer:
         status, payload, extra_headers = await self._dispatch_watched(
             parsed.path, params, reader, buffer
         )
+        keep_alive = keep_alive and not self._closing
         await self._respond(
             writer, status, payload,
             close=not keep_alive, extra_headers=extra_headers,
@@ -397,6 +428,7 @@ class ServingHTTPServer:
                     mode=params.get("mode", "auto"),
                     limit=_optional_int(params, "limit"),
                     timeout=_timeout(params),
+                    format=params.get("format", "json"),
                 )
                 return 200, payload, {}
             if path == "/aggregate":
@@ -440,6 +472,7 @@ class ServingHTTPServer:
                     limit=_optional_int(params, "limit") or 100,
                     cursor=params.get("cursor"),
                     timeout=_timeout(params),
+                    format=params.get("format", "json"),
                 )
                 return 200, payload, {}
             if path == "/replicate/manifest":

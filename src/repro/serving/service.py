@@ -32,6 +32,7 @@ worker thread via :func:`asyncio.to_thread`.
 from __future__ import annotations
 
 import asyncio
+import base64
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,18 @@ __all__ = ["ServingConfig", "ServingStats", "ImprintService"]
 
 #: ``mode=`` values :meth:`ImprintService.query` accepts.
 QUERY_MODES = ("auto", "full", "count", "page")
+
+#: ``format=`` values :meth:`ImprintService.query` and
+#: :meth:`ImprintService.page` accept: ``"json"`` answers ``ids`` as a
+#: list of ints, ``"binary"`` as ``ids_b64`` + ``ids_dtype``.
+ID_FORMATS = ("json", "binary")
+
+
+def _check_format(format: str) -> None:
+    if format not in ID_FORMATS:
+        raise ValueError(
+            f"unknown format {format!r}; expected one of {ID_FORMATS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -330,6 +343,27 @@ class ImprintService:
             if isinstance(exc, StaleCursorError):
                 self.stats.stale_cursors += 1
 
+    def _encode_ids(self, column: str, ids, format: str) -> dict:
+        """The id fields of a ``/query`` or ``/page`` body.
+
+        ``"json"``: ``ids``, a list of ints.  ``"binary"``: ``ids_b64``,
+        the base64 of the little-endian unsigned ids, and ``ids_dtype``
+        — ``"<u4"`` when the column has fewer than 2**32 rows (every id
+        fits), else ``"<u8"``.
+        """
+        if format == "json":
+            return {"ids": ids.tolist()}
+        index = self.executor.index(column)
+        # a delta-aware index counts its pending appends in ``n_rows``
+        rows = getattr(index, "n_rows", None) or len(index.column)
+        dtype = "<u4" if rows < 2**32 else "<u8"
+        return {
+            "ids_b64": base64.b64encode(ids.astype(dtype).tobytes()).decode(
+                "ascii"
+            ),
+            "ids_dtype": dtype,
+        }
+
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
@@ -342,6 +376,7 @@ class ImprintService:
         mode: str = "auto",
         limit: int | None = None,
         timeout: float | None = None,
+        format: str = "json",
     ) -> dict:
         """Answer a range query, degrading the representation under load.
 
@@ -352,11 +387,15 @@ class ImprintService:
         * ``"full"`` — always the full id list (opts out of degradation);
         * ``"count"`` — count only (never materialises ids);
         * ``"page"`` — first ``limit`` ids plus a resume cursor.
+
+        ``format`` selects how ids travel (:data:`ID_FORMATS`); a
+        count-only answer carries ``"ids": None`` in either.
         """
         if mode not in QUERY_MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; expected one of {QUERY_MODES}"
             )
+        _check_format(format)
         if limit is not None and limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         limit = min(
@@ -392,7 +431,7 @@ class ImprintService:
                     ids, cursor = result.page(limit)
                     body = {
                         "count": int(result.count()),
-                        "ids": ids.tolist(),
+                        **self._encode_ids(column, ids, format),
                         "cursor": None if cursor is None else cursor.encode(),
                     }
                     served_as = "page"
@@ -403,7 +442,7 @@ class ImprintService:
                     result = await self._await_result(future, deadline)
                     body = {
                         "count": int(result.count()),
-                        "ids": result.ids.tolist(),
+                        **self._encode_ids(column, result.ids, format),
                         "cursor": None,
                     }
                     served_as = "full"
@@ -607,15 +646,18 @@ class ImprintService:
         limit: int,
         cursor: str | None = None,
         timeout: float | None = None,
+        format: str = "json",
     ) -> dict:
         """One page of a query answer; resumes from ``cursor``.
 
         A cursor issued before an index mutation raises
         :class:`~repro.errors.StaleCursorError` (HTTP 410): the client
         must re-query, because continuing would stitch two snapshots.
+        ``format`` is as for :meth:`query`.
         """
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
+        _check_format(format)
         limit = min(limit, self.config.max_page_limit)
         self._enter()
         deadline = self.deadline_for(timeout)
@@ -634,7 +676,7 @@ class ImprintService:
                     "column": column,
                     "low": low,
                     "high": high,
-                    "ids": ids.tolist(),
+                    **self._encode_ids(column, ids, format),
                     "cursor": (
                         None if next_cursor is None else next_cursor.encode()
                     ),

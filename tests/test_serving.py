@@ -417,8 +417,8 @@ def http_scenario(scenario, slow: float = 0.0, **config):
     async def body():
         try:
             async with ServingHTTPServer(service) as server:
-                client = ServingClient(*server.address)
-                return await scenario(service, index, client)
+                async with ServingClient(*server.address) as client:
+                    return await scenario(service, index, client)
         finally:
             await service.close()
 
@@ -799,3 +799,134 @@ class TestIdListEncoding:
                 await service.close()
 
         run(body())
+
+
+# ----------------------------------------------------------------------
+# wire formats: format=binary decodes to the JSON body
+# ----------------------------------------------------------------------
+class TestWireFormats:
+    """``format=binary`` on ``/query`` and ``/page`` carries the same
+    answer as the JSON body; the JSON body itself is unchanged."""
+
+    @staticmethod
+    def ranges(values) -> dict:
+        unique, counts = np.unique(values, return_counts=True)
+        single = int(unique[counts == 1][0])
+        empty_low = int(values.max()) + 10
+        return {
+            "empty": (empty_low, empty_low + 5),
+            "one": (single, single + 1),
+            "many": (LOW, HIGH),
+        }
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_binary_decodes_to_the_json_body_and_the_oracle(self, dtype):
+        import json
+
+        from repro.storage import Column
+
+        values = make_clustered(20_000, dtype, seed=17)
+        index = ColumnImprints(Column(values, name="t.v"))
+        service = ImprintService(QueryExecutor({"v": index}), ServingConfig())
+        raw_body = TestIdListEncoding.raw_body
+
+        async def both(client, path, params, expected_ids):
+            """The JSON and the decoded binary body, checked alike."""
+            as_json = await client.get(path, params)
+            as_binary = await client.get(path, {**params, "format": "binary"})
+            assert as_json.status == as_binary.status == 200
+            assert as_binary.body == as_json.body
+            assert as_json.body["ids"] == expected_ids.tolist()
+            # no format: the bytes of the JSON body with a plain id list
+            raw = await raw_body(client, path, params)
+            assert raw == json.dumps(as_json.body).encode("utf-8")
+            # format=binary: ids_b64 + ids_dtype in the place of ids
+            wire = json.loads(
+                await raw_body(client, path, {**params, "format": "binary"})
+            )
+            assert wire["ids_dtype"] == "<u4"
+            keys = list(as_json.body)
+            at = keys.index("ids")
+            assert list(wire) == keys[:at] + ["ids_b64", "ids_dtype"] + keys[at + 1:]
+            return as_json.body
+
+        async def body():
+            try:
+                async with ServingHTTPServer(service) as server:
+                    client = ServingClient(*server.address)
+                    for name, (low, high) in self.ranges(values).items():
+                        oracle = np.flatnonzero((values >= low) & (values < high))
+                        if name != "many":
+                            assert oracle.size == {"empty": 0, "one": 1}[name]
+                        common = {"column": "v", "low": low, "high": high}
+                        full = await both(
+                            client, "/query", {**common, "mode": "full"}, oracle
+                        )
+                        assert full == {
+                            **common, "mode": "full", "served_as": "full",
+                            "degraded": False, "count": int(oracle.size),
+                            "ids": oracle.tolist(), "cursor": None,
+                        }
+                        await both(
+                            client, "/query", {**common, "mode": "auto"}, oracle
+                        )
+                        await both(
+                            client, "/query",
+                            {**common, "mode": "page", "limit": 40},
+                            oracle[:40],
+                        )
+                        first = await both(
+                            client, "/page", {**common, "limit": 70},
+                            oracle[:70],
+                        )
+                        if first["cursor"] is not None:
+                            await both(
+                                client, "/page",
+                                {**common, "limit": 70,
+                                 "cursor": first["cursor"]},
+                                oracle[70:140],
+                            )
+                        counted = await client.get(
+                            "/query",
+                            {**common, "mode": "count", "format": "binary"},
+                        )
+                        assert counted.body["ids"] is None
+                        assert counted.body["count"] == oracle.size
+                        # the convenience methods ask for binary
+                        response = await client.query(
+                            "v", low, high, mode="full"
+                        )
+                        assert response.body == full
+                    for path in ("/query", "/page"):
+                        bogus = await client.get(
+                            path, {"column": "v", "low": LOW, "high": HIGH,
+                                   "limit": 5, "format": "bogus"},
+                        )
+                        assert bogus.status == 400
+                        assert "format" in bogus.body["detail"]
+                    await client.close()
+            finally:
+                await service.close()
+
+        run(body())
+
+    def test_id_width_follows_the_column_row_count(self):
+        """``<u8`` from 2**32 rows up; the client decodes either."""
+        from repro.serving.client import _decode_ids
+
+        service, index = make_service()
+
+        class Huge:
+            def __init__(self, rows):
+                self.n_rows = rows
+
+        ids = np.array([0, 7, 2**32 - 1], dtype=np.int64)
+        try:
+            for rows, dtype in ((2**32 - 1, "<u4"), (2**32, "<u8")):
+                service.executor.index = lambda name, rows=rows: Huge(rows)
+                fields = service._encode_ids("v", ids, "binary")
+                assert fields["ids_dtype"] == dtype
+                assert _decode_ids(fields) == {"ids": ids.tolist()}
+        finally:
+            del service.executor.index
+            run(service.close())
