@@ -32,13 +32,13 @@ def _run(smoke: bool, scale: float):
         DEFAULT_ROWS,
         render_aggregate_study,
         run_aggregate_study,
-        write_aggregates_json,
     )
+    from repro.bench.runner import write_result
 
     result = run_aggregate_study(
         n_rows=max(50_000, int(DEFAULT_ROWS * scale)), smoke=smoke
     )
-    write_aggregates_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_aggregate_study(result)
 
 
@@ -48,7 +48,7 @@ def test_aggregates(save_result):
     result, text = _run(smoke=smoke, scale=scale)
     save_result("aggregates", text)
     print(f"[saved to {JSON_PATH}]")
-    assert result["verified_bit_identical"]
+    assert result["verified"]
     # The headline claim: SUM/MIN/MAX pushdown >= 5x over
     # materialise-then-reduce at 10% selectivity on the full-size
     # workload.  Wall-clock bounds are machine-dependent, so the
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     result, text = _run(smoke=args.smoke, scale=args.scale)
     print(text)
     print(f"[saved to {JSON_PATH}]")
-    if not result["verified_bit_identical"]:
+    if not result["verified"]:
         return 1
     return 0
 

@@ -34,13 +34,13 @@ def _run(smoke: bool, scale: float):
         DEFAULT_ROWS,
         render_dashboard_study,
         run_dashboard_study,
-        write_dashboard_json,
     )
+    from repro.bench.runner import write_result
 
     result = run_dashboard_study(
         n_rows=max(50_000, int(DEFAULT_ROWS * scale)), smoke=smoke
     )
-    write_dashboard_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_dashboard_study(result)
 
 
@@ -50,7 +50,7 @@ def test_dashboard(save_result):
     result, text = _run(smoke=smoke, scale=scale)
     save_result("dashboard", text)
     print(f"[saved to {JSON_PATH}]")
-    assert result["verified_bit_identical"]
+    assert result["verified"]
     # The headline claim: grouped COUNT/SUM/AVG pushdown >= 5x over
     # materialise-then-group at 10% selectivity on the full-size
     # workload.  Wall-clock bounds are machine-dependent, so the
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     result, text = _run(smoke=args.smoke, scale=args.scale)
     print(text)
     print(f"[saved to {JSON_PATH}]")
-    if not result["verified_bit_identical"]:
+    if not result["verified"]:
         return 1
     return 0
 

@@ -30,14 +30,14 @@ def _run(smoke: bool, scale: float):
         render_durability_study,
         run_durability_study,
         scaled_defaults,
-        write_durability_json,
     )
+    from repro.bench.runner import write_result
 
     sizes = scaled_defaults(scale)
     result = run_durability_study(
         n_rows=sizes["n_rows"], n_mutations=sizes["n_mutations"], smoke=smoke
     )
-    write_durability_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_durability_study(result)
 
 
@@ -47,7 +47,7 @@ def test_durability(save_result):
     result, text = _run(smoke=smoke, scale=scale)
     save_result("durability", text)
     print(f"[saved to {JSON_PATH}]")
-    assert result["verified_bit_identical"], (
+    assert result["verified"], (
         "recovered state diverged from the NumPy oracle"
     )
     assert all(r["bit_identical"] for r in result["recovery"])
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     result, text = _run(smoke=args.smoke, scale=args.scale)
     print(text)
     print(f"[saved to {JSON_PATH}]")
-    if not result["verified_bit_identical"]:
+    if not result["verified"]:
         return 1
     return 0
 

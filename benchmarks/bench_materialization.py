@@ -28,13 +28,13 @@ def _run(smoke: bool, scale: float):
         DEFAULT_ROWS,
         render_materialization_study,
         run_materialization_study,
-        write_materialization_json,
     )
+    from repro.bench.runner import write_result
 
     result = run_materialization_study(
         n_rows=max(50_000, int(DEFAULT_ROWS * scale)), smoke=smoke
     )
-    write_materialization_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_materialization_study(result)
 
 
@@ -44,7 +44,7 @@ def test_materialization(save_result):
     result, text = _run(smoke=smoke, scale=scale)
     save_result("materialization", text)
     print(f"[saved to {JSON_PATH}]")
-    assert result["verified_bit_identical"]
+    assert result["verified"]
     # The headline claim: count-only >= 5x over eager materialisation
     # at 10% selectivity on the full-size workload.  Wall-clock bounds
     # are machine-dependent, so the assertion is opt-in like the
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     result, text = _run(smoke=args.smoke, scale=args.scale)
     print(text)
     print(f"[saved to {JSON_PATH}]")
-    if not result["verified_bit_identical"]:
+    if not result["verified"]:
         return 1
     return 0
 

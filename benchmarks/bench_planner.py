@@ -6,7 +6,7 @@ each forced end-to-end through the executor) and through the
 self-tuning planner, verifying every answer bit-identical against the
 serial imprints oracle before timing anything.  The machine-readable
 result lands in ``benchmarks/results/BENCH_planner.json``; the
-regression gate (``python -m repro.bench.regression --planner``)
+regression gate's ``planner`` entry (``python -m repro.bench.regression``)
 enforces the headline invariants: planner within 10% of the best
 static backend on every segment, and faster than always-imprints on
 the low-selectivity segment.
@@ -34,8 +34,8 @@ def _run(smoke: bool, scale: float):
         DEFAULT_ROWS,
         render_planner_study,
         run_planner_study,
-        write_planner_json,
     )
+    from repro.bench.runner import write_result
 
     result = run_planner_study(
         n_rows=max(50_000, int(DEFAULT_ROWS * scale)),
@@ -44,7 +44,7 @@ def _run(smoke: bool, scale: float):
         ),
         smoke=smoke,
     )
-    write_planner_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_planner_study(result)
 
 
@@ -54,7 +54,7 @@ def test_planner(save_result):
     result, text = _run(smoke=smoke, scale=scale)
     save_result("planner", text)
     print(f"[saved to {JSON_PATH}]")
-    assert result["verified_bit_identical"]
+    assert result["verified"]
     # The wall-clock invariants (within 10% of best static per segment,
     # beats always-imprints when unselective) gate in CI through
     # repro.bench.regression on the published artifact; under pytest
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     result, text = _run(smoke=args.smoke, scale=args.scale)
     print(text)
     print(f"[saved to {JSON_PATH}]")
-    if not result["verified_bit_identical"]:
+    if not result["verified"]:
         return 1
     return 0
 

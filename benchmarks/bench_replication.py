@@ -29,14 +29,14 @@ def _run(smoke: bool, scale: float):
         render_replication_study,
         run_replication_study,
         scaled_defaults,
-        write_replication_json,
     )
+    from repro.bench.runner import write_result
 
     sizes = scaled_defaults(scale)
     result = run_replication_study(
         n_rows=sizes["n_rows"], n_mutations=sizes["n_mutations"], smoke=smoke
     )
-    write_replication_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_replication_study(result)
 
 
@@ -46,7 +46,7 @@ def test_replication(save_result):
     result, text = _run(smoke=smoke, scale=scale)
     save_result("replication", text)
     print(f"[saved to {JSON_PATH}]")
-    assert result["verified_bit_identical"], (
+    assert result["verified"], (
         "follower state diverged from the NumPy oracle"
     )
     assert result["headline"]["final_lag"] == 0
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     result, text = _run(smoke=args.smoke, scale=args.scale)
     print(text)
     print(f"[saved to {JSON_PATH}]")
-    if not result["verified_bit_identical"]:
+    if not result["verified"]:
         return 1
     return 0
 

@@ -30,14 +30,14 @@ def _run(smoke: bool, scale: float):
         render_serving_study,
         run_serving_study,
         scaled_defaults,
-        write_serving_json,
     )
+    from repro.bench.runner import write_result
 
     sizes = scaled_defaults(scale)
     result = run_serving_study(
         n_rows=sizes["n_rows"], n_requests=sizes["n_requests"], smoke=smoke
     )
-    write_serving_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_serving_study(result)
 
 
@@ -49,7 +49,7 @@ def test_serving(save_result):
     print(f"[saved to {JSON_PATH}]")
     assert result["completed"], "open-loop run did not finish (deadlock?)"
     assert result["accounting_balanced"], result
-    assert result["verified_counts"], "a served answer disagreed with the oracle"
+    assert result["verified"], "a served answer disagreed with the oracle"
 
 
 def main(argv=None) -> int:
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     if not (
         result["completed"]
         and result["accounting_balanced"]
-        and result["verified_counts"]
+        and result["verified"]
     ):
         return 1
     return 0

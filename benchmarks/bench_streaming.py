@@ -30,13 +30,13 @@ def _run(smoke: bool, scale: float):
         DEFAULT_ROWS,
         render_streaming_study,
         run_streaming_study,
-        write_streaming_json,
     )
+    from repro.bench.runner import write_result
 
     result = run_streaming_study(
         n_rows=max(50_000, int(DEFAULT_ROWS * scale)), smoke=smoke
     )
-    write_streaming_json(result, JSON_PATH)
+    write_result(result, JSON_PATH)
     return result, render_streaming_study(result)
 
 
@@ -46,7 +46,7 @@ def test_streaming(save_result):
     result, text = _run(smoke=smoke, scale=scale)
     save_result("streaming", text)
     print(f"[saved to {JSON_PATH}]")
-    assert result["verified_bit_identical"]
+    assert result["verified"]
     # The headline claim: first-100-ids >= 10x faster than eager
     # materialisation at 20% selectivity on the full-size workload.
     # Wall-clock bounds are machine-dependent, so the assertion is
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     result, text = _run(smoke=args.smoke, scale=args.scale)
     print(text)
     print(f"[saved to {JSON_PATH}]")
-    if not result["verified_bit_identical"]:
+    if not result["verified"]:
         return 1
     return 0
 

@@ -42,7 +42,6 @@ from .throughput import (
     render_throughput_study,
     run_throughput_study,
     throughput_workload,
-    write_throughput_json,
 )
 from .runner import METHODS, BenchContext, BuiltColumn, get_context, time_call
 from .size_time import (
@@ -93,7 +92,6 @@ __all__ = [
     "render_throughput_study",
     "run_throughput_study",
     "throughput_workload",
-    "write_throughput_json",
     "format_table",
     "format_bytes",
     "format_seconds",

@@ -28,9 +28,7 @@ and for a 4-shard :class:`~repro.engine.sharded.ShardedColumnImprints`
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -38,6 +36,7 @@ import numpy as np
 from ..core import ColumnImprints
 from ..engine import QueryExecutor, ShardedColumnImprints
 from .materialization import SWEEP_SELECTIVITIES, materialization_workload
+from .runner import time_call
 from .tables import format_table
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "HEADLINE_SELECTIVITY",
     "run_aggregate_study",
     "render_aggregate_study",
-    "write_aggregates_json",
 ]
 
 #: Operations timed by the study (count rides along for completeness).
@@ -57,16 +55,6 @@ STUDY_OPS = ("sum", "min", "max", "count")
 DEFAULT_ROWS = 4_000_000
 #: The acceptance headline is quoted at this selectivity.
 HEADLINE_SELECTIVITY = 0.1
-
-
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _reference(values: np.ndarray, ids: np.ndarray, op: str):
@@ -134,9 +122,10 @@ def run_aggregate_study(
                             f"{got!r} != reference {reference!r}"
                         )
 
-                pushdown_seconds = _best_of(
-                    repeats, lambda p=predicate, o=op: index.aggregate(p, o)
-                )
+                pushdown_seconds = time_call(
+                    lambda p=predicate, o=op: index.aggregate(p, o),
+                    repeat=repeats,
+                )[1]
 
                 def eager(p=predicate, o=op):
                     gathered = values[index.query(p).ids]
@@ -146,11 +135,11 @@ def run_aggregate_study(
                         return np.sum(gathered)
                     return gathered.min() if o == "min" else gathered.max()
 
-                eager_seconds = _best_of(repeats, eager)
-                cached_seconds = _best_of(
-                    repeats,
+                eager_seconds = time_call(eager, repeat=repeats)[1]
+                cached_seconds = time_call(
                     lambda p=predicate, o=op: executor.aggregate("bench", p, o),
-                )
+                    repeat=repeats,
+                )[1]
                 point["ops"][op] = {
                     "pushdown_seconds": pushdown_seconds,
                     "eager_seconds": eager_seconds,
@@ -190,7 +179,7 @@ def run_aggregate_study(
         ],
     }
     return {
-        "experiment": "aggregates",
+        "study": "aggregates",
         "config": {
             "n_rows": n_rows,
             "seed": seed,
@@ -208,7 +197,7 @@ def run_aggregate_study(
         },
         "sweep": sweep,
         "headline": headline,
-        "verified_bit_identical": verified,
+        "verified": verified,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -264,11 +253,3 @@ def render_aggregate_study(result: dict | None = None, **kwargs) -> str:
         f"scalar cache hit {headline['cached_speedup_sum']:.0f}x"
     )
     return f"{table}\n{footer}"
-
-
-def write_aggregates_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_aggregates.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

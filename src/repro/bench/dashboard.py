@@ -36,9 +36,7 @@ division.  The machine-readable result lands in
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -47,6 +45,7 @@ from ..core import ColumnImprints
 from ..engine import QueryExecutor, ShardedColumnImprints
 from ..predicate import RangePredicate
 from ..storage import Column
+from .runner import time_call
 from .tables import format_table
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "dashboard_workload",
     "run_dashboard_study",
     "render_dashboard_study",
-    "write_dashboard_json",
 ]
 
 #: The breakdown chart's operations.
@@ -80,16 +78,6 @@ DEFAULT_ROWS = 6_000_000
 TOP_K = 10
 #: Cardinality of the region group column.
 N_REGIONS = 12
-
-
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def dashboard_workload(
@@ -246,12 +234,12 @@ def run_dashboard_study(
 
             # --- timing: pushdown vs materialise-then-group vs cache hit
             for op in GROUP_OPS_STUDIED:
-                pushdown_seconds = _best_of(
-                    repeats,
+                pushdown_seconds = time_call(
                     lambda p=predicate, o=op: index.aggregate_grouped(
                         p, o, "region"
                     ),
-                )
+                    repeat=repeats,
+                )[1]
 
                 def eager(p=predicate, o=op):
                     forced = index.query(p).ids
@@ -269,13 +257,13 @@ def run_dashboard_study(
                     present = counts > 0
                     return sums[present] / counts[present]
 
-                eager_seconds = _best_of(repeats, eager)
-                cached_seconds = _best_of(
-                    repeats,
+                eager_seconds = time_call(eager, repeat=repeats)[1]
+                cached_seconds = time_call(
                     lambda p=predicate, o=op: executor.aggregate_grouped(
                         "trips", p, o, "region"
                     ),
-                )
+                    repeat=repeats,
+                )[1]
                 point["grouped"][op] = {
                     "pushdown_seconds": pushdown_seconds,
                     "eager_seconds": eager_seconds,
@@ -292,15 +280,16 @@ def run_dashboard_study(
                     ),
                 }
             for op in MOMENT_OPS_STUDIED:
-                pushdown_seconds = _best_of(
-                    repeats, lambda p=predicate, o=op: index.aggregate(p, o)
-                )
+                pushdown_seconds = time_call(
+                    lambda p=predicate, o=op: index.aggregate(p, o),
+                    repeat=repeats,
+                )[1]
 
                 def eager_moment(p=predicate, o=op):
                     gathered = values[index.query(p).ids].astype(np.float64)
                     return gathered.mean() if o == "avg" else gathered.var()
 
-                eager_seconds = _best_of(repeats, eager_moment)
+                eager_seconds = time_call(eager_moment, repeat=repeats)[1]
                 point["moments"][op] = {
                     "pushdown_seconds": pushdown_seconds,
                     "eager_seconds": eager_seconds,
@@ -310,9 +299,10 @@ def run_dashboard_study(
                         else float("inf")
                     ),
                 }
-            topk_pushdown = _best_of(
-                repeats, lambda p=predicate: index.top_k(p, TOP_K)
-            )
+            topk_pushdown = time_call(
+                lambda p=predicate: index.top_k(p, TOP_K),
+                repeat=repeats,
+            )[1]
 
             def eager_topk(p=predicate):
                 gathered = values[index.query(p).ids]
@@ -322,7 +312,7 @@ def run_dashboard_study(
                     )[-TOP_K:]
                 return np.sort(gathered)[::-1]
 
-            topk_eager = _best_of(repeats, eager_topk)
+            topk_eager = time_call(eager_topk, repeat=repeats)[1]
             point["topk"] = {
                 "pushdown_seconds": topk_pushdown,
                 "eager_seconds": topk_eager,
@@ -361,7 +351,7 @@ def run_dashboard_study(
         "topk_speedup_vs_eager": headline_point["topk"]["speedup_vs_eager"],
     }
     return {
-        "experiment": "dashboard",
+        "study": "dashboard",
         "config": {
             "n_rows": n_rows,
             "seed": seed,
@@ -385,7 +375,7 @@ def run_dashboard_study(
         },
         "sweep": sweep,
         "headline": headline,
-        "verified_bit_identical": verified,
+        "verified": verified,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -449,11 +439,3 @@ def render_dashboard_study(result: dict | None = None, **kwargs) -> str:
         f"{headline['cached_speedup_grouped_sum']:.0f}x"
     )
     return f"{table}\n{footer}"
-
-
-def write_dashboard_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_dashboard.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

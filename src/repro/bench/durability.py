@@ -22,12 +22,11 @@ Three questions, all against the real
 
 The machine-readable result lands in
 ``benchmarks/results/BENCH_durability.json`` and is gated by
-``repro.bench.regression --durability``.
+:mod:`repro.bench.regression`.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import shutil
 import tempfile
@@ -42,7 +41,6 @@ __all__ = [
     "scaled_defaults",
     "run_durability_study",
     "render_durability_study",
-    "write_durability_json",
 ]
 
 DEFAULT_ROWS = 200_000
@@ -268,7 +266,7 @@ def run_durability_study(
             "seed": seed,
             "smoke": smoke,
         },
-        "verified_bit_identical": verified,
+        "verified": verified,
         "memory_baseline": {
             "elapsed_s": round(memory_s, 4),
             "per_mutation_us": round(memory_s / n_mutations * 1e6, 2),
@@ -307,7 +305,7 @@ def render_durability_study(result: dict) -> str:
         title=(
             f"durability study: {config['n_mutations']} mutations over "
             f"{config['n_rows']} rows "
-            f"(verified bit-identical: {result['verified_bit_identical']})"
+            f"(verified bit-identical: {result['verified']})"
         ),
     )
     recovery_rows = [
@@ -326,11 +324,3 @@ def render_durability_study(result: dict) -> str:
         ),
     )
     return f"{table}\n\n{recovery_table}"
-
-
-def write_durability_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_durability.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -23,9 +23,7 @@ truth before timing.  The machine-readable result lands in
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -33,6 +31,7 @@ import numpy as np
 from ..core import ColumnImprints
 from ..predicate import RangePredicate
 from ..storage import Column
+from .runner import time_call
 from .tables import format_table
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "materialization_workload",
     "run_materialization_study",
     "render_materialization_study",
-    "write_materialization_json",
 ]
 
 #: Fractions of the column each sweep point targets (0.05% – 20%).
@@ -71,16 +69,6 @@ def materialization_workload(
             low, max(high, low + 1), column.ctype
         )
     return column, predicates
-
-
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def run_materialization_study(
@@ -116,14 +104,16 @@ def run_materialization_study(
             )
         rowset = result.row_set
 
-        eager_seconds = _best_of(
-            repeats, lambda p=predicate: index.query(p).ids
-        )
-        lazy_seconds = _best_of(
-            repeats, lambda p=predicate: index.query(p).count()
-        )
+        eager_seconds = time_call(
+            lambda p=predicate: index.query(p).ids,
+            repeat=repeats,
+        )[1]
+        lazy_seconds = time_call(
+            lambda p=predicate: index.query(p).count(),
+            repeat=repeats,
+        )[1]
         cached = index.query(predicate)
-        cached_seconds = _best_of(repeats, cached.count)
+        cached_seconds = time_call(cached.count, repeat=repeats)[1]
 
         sweep.append(
             {
@@ -156,7 +146,7 @@ def run_materialization_study(
         sweep[-1],
     )
     return {
-        "experiment": "materialization",
+        "study": "materialization",
         "config": {
             "n_rows": n_rows,
             "seed": seed,
@@ -176,7 +166,7 @@ def run_materialization_study(
                 else float("inf")
             ),
         },
-        "verified_bit_identical": True,
+        "verified": True,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -228,11 +218,3 @@ def render_materialization_study(result: dict | None = None, **kwargs) -> str:
         f"answer {headline['compression']:.0f}x smaller as RowSet"
     )
     return f"{table}\n{footer}"
-
-
-def write_materialization_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_materialization.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -29,9 +29,7 @@ the low-selectivity (wide, unclustered) segment.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -47,7 +45,6 @@ __all__ = [
     "planner_workload",
     "run_planner_study",
     "render_planner_study",
-    "write_planner_json",
 ]
 
 #: (segment name, column name, target selectivity, relative weight).
@@ -249,7 +246,7 @@ def run_planner_study(
 
     low_selectivity = "random-unselective"
     return {
-        "experiment": "planner",
+        "study": "planner",
         "config": {
             "n_rows": n_rows,
             "queries_per_segment": queries_per_segment,
@@ -273,7 +270,7 @@ def run_planner_study(
             "low_selectivity_segment": low_selectivity,
         },
         "planner": planner.stats_payload(),
-        "verified_bit_identical": verified,
+        "verified": verified,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -312,7 +309,7 @@ def render_planner_study(result: dict | None = None, **kwargs) -> str:
         title=(
             f"Self-tuning planner vs static backends "
             f"({config['n_rows']:,} rows/column, "
-            f"verified bit-identical: {result['verified_bit_identical']})"
+            f"verified bit-identical: {result['verified']})"
         ),
     )
     return (
@@ -323,10 +320,3 @@ def render_planner_study(result: dict | None = None, **kwargs) -> str:
         f"always-imprints on the low-selectivity segment\n"
         f"plans: {result['planner']['plans']}"
     )
-
-
-def write_planner_json(result: dict, path) -> None:
-    """Write the machine-readable artifact CI tracks per commit."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

@@ -25,12 +25,11 @@ stream — a fast replica of the wrong state is worthless.
 
 The machine-readable result lands in
 ``benchmarks/results/BENCH_replication.json`` and is gated by
-``repro.bench.regression --replication``.
+:mod:`repro.bench.regression`.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import shutil
 import tempfile
@@ -46,7 +45,6 @@ __all__ = [
     "scaled_defaults",
     "run_replication_study",
     "render_replication_study",
-    "write_replication_json",
 ]
 
 DEFAULT_ROWS = 200_000
@@ -207,7 +205,7 @@ def run_replication_study(
             "seed": seed,
             "smoke": smoke,
         },
-        "verified_bit_identical": verified,
+        "verified": verified,
         "bootstrap": {
             "elapsed_s": round(bootstrap_s, 4),
             "bytes_shipped": bootstrap_bytes,
@@ -262,15 +260,7 @@ def render_replication_study(result: dict) -> str:
             f"replication study: {config['n_mutations']} backlog + "
             f"{config['n_mutations']} live mutations over "
             f"{config['n_rows']} rows "
-            f"(verified bit-identical: {result['verified_bit_identical']})"
+            f"(verified bit-identical: {result['verified']})"
         ),
     )
     return table
-
-
-def write_replication_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_replication.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

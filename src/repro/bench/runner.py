@@ -13,6 +13,8 @@ index").
 
 from __future__ import annotations
 
+import json
+import pathlib
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +25,15 @@ from ..indexes import SequentialScan, WahBitmapIndex, ZoneMap
 from ..storage.column import Column
 from ..workloads import Dataset, load_all_datasets
 
-__all__ = ["BuiltColumn", "BenchContext", "get_context", "time_call", "METHODS"]
+__all__ = [
+    "BuiltColumn",
+    "BenchContext",
+    "get_context",
+    "time_call",
+    "write_result",
+    "RESULT_KEYS",
+    "METHODS",
+]
 
 #: Evaluation order used in every figure.
 METHODS = ("scan", "imprints", "zonemap", "wah")
@@ -34,12 +44,35 @@ def time_call(fn, *args, repeat: int = 1, **kwargs):
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     best = float("inf")
-    result = None
     for _ in range(repeat):
+        result = None  # free the previous result outside the timed window
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - start)
     return result, best
+
+
+#: The keys every ``BENCH_<study>.json`` artifact carries; each study
+#: adds its own sections next to them.
+RESULT_KEYS = ("study", "config", "verified", "headline")
+
+
+def write_result(result: dict, path) -> pathlib.Path:
+    """Persist one study result (a ``BENCH_<study>.json`` artifact).
+
+    Refuses a result that lacks one of :data:`RESULT_KEYS` or whose
+    ``verified`` is not a bool, so every artifact the regression gate
+    reads has the shared schema.
+    """
+    missing = [key for key in RESULT_KEYS if key not in result]
+    if missing:
+        raise ValueError(f"result lacks the shared keys {missing}")
+    if not isinstance(result["verified"], bool):
+        raise ValueError(f"verified must be a bool, got {result['verified']!r}")
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 @dataclass

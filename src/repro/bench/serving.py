@@ -29,14 +29,12 @@ Protocol:
 
 The machine-readable result lands in
 ``benchmarks/results/BENCH_serving.json`` and is gated by
-``repro.bench.regression --serving``.
+:mod:`repro.bench.regression`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -48,7 +46,6 @@ __all__ = [
     "scaled_defaults",
     "run_serving_study",
     "render_serving_study",
-    "write_serving_json",
 ]
 
 DEFAULT_ROWS = 1_000_000
@@ -187,7 +184,7 @@ async def _drive_open_loop(
             and len(served) + len(rejected) + len(timed_out) + len(errors)
             == len(tasks)
         ),
-        "verified_counts": bool(served)
+        "verified": bool(served)
         and all(o.get("count_ok") for o in served),
         "served_degraded": sum(
             1 for o in served if o.get("served_as") == "page"
@@ -273,6 +270,11 @@ def run_serving_study(
             "seed": seed,
             "smoke": smoke,
         },
+        "headline": {
+            "accepted_p50_ms": numbers["latency_ms"]["p50"],
+            "accepted_p99_ms": numbers["latency_ms"]["p99"],
+            "reject_p95_ms": numbers["reject_latency_ms"]["p95"],
+        },
         **numbers,
     }
 
@@ -295,7 +297,7 @@ def render_serving_study(result: dict) -> str:
         ["timed out (504)", result["timed_out"], ""],
         ["errors", result["errors"], str(result["error_statuses"] or "")],
         ["accounting balances", result["accounting_balanced"], ""],
-        ["counts verified", result["verified_counts"], ""],
+        ["counts verified", result["verified"], ""],
         ["accepted p50/p95/p99 ms",
          f"{latency['p50']}/{latency['p95']}/{latency['p99']}", ""],
     ]
@@ -311,11 +313,3 @@ def render_serving_study(result: dict) -> str:
             f"{config['max_waiting']} waiting"
         ),
     )
-
-
-def write_serving_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_serving.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -31,9 +31,7 @@ lands in ``benchmarks/results/BENCH_streaming.json``.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -42,6 +40,7 @@ from ..core import ColumnImprints
 from ..engine import QueryExecutor, ShardedColumnImprints
 from ..predicate import RangePredicate
 from ..storage import Column
+from .runner import time_call
 from .tables import format_table
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "streaming_workload",
     "run_streaming_study",
     "render_streaming_study",
-    "write_streaming_json",
 ]
 
 #: Fractions of the column each sweep point targets (1% – 20%).
@@ -84,16 +82,6 @@ def streaming_workload(
             low, max(high, low + 1), column.ctype
         )
     return column, predicates
-
-
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _drain_pages(page_fn) -> np.ndarray:
@@ -182,21 +170,24 @@ def run_streaming_study(
             # --- timings: each eager / first-page call re-runs the
             # kernel (a fresh result per call); the executor rides its
             # versioned LRU — the serving-cache page shape.
-            eager_seconds = _best_of(
-                repeats, lambda p=predicate: serial.query(p).ids
-            )
-            first_page_seconds = _best_of(
-                repeats, lambda p=predicate: serial.page(p, page_size)
-            )
-            sharded_page_seconds = _best_of(
-                repeats, lambda p=predicate: sharded.page(p, page_size)
-            )
-            executor_page_seconds = _best_of(
-                repeats,
+            eager_seconds = time_call(
+                lambda p=predicate: serial.query(p).ids,
+                repeat=repeats,
+            )[1]
+            first_page_seconds = time_call(
+                lambda p=predicate: serial.page(p, page_size),
+                repeat=repeats,
+            )[1]
+            sharded_page_seconds = time_call(
+                lambda p=predicate: sharded.page(p, page_size),
+                repeat=repeats,
+            )[1]
+            executor_page_seconds = time_call(
                 lambda p=predicate: executor.query_paged(
                     "stream", p, page_size
                 ),
-            )
+                repeat=repeats,
+            )[1]
 
             result = serial.query(predicate)
             sweep.append(
@@ -238,7 +229,7 @@ def run_streaming_study(
         sweep[-1],
     )
     return {
-        "experiment": "streaming",
+        "study": "streaming",
         "config": {
             "n_rows": n_rows,
             "seed": seed,
@@ -263,7 +254,7 @@ def run_streaming_study(
                 "speedup_executor_page_vs_eager"
             ],
         },
-        "verified_bit_identical": True,
+        "verified": True,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -315,11 +306,3 @@ def render_streaming_study(result: dict | None = None, **kwargs) -> str:
         f"faster than eager ids"
     )
     return f"{table}\n{footer}"
-
-
-def write_streaming_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_streaming.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -22,9 +22,7 @@ against the serial baseline before any number is reported.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -40,7 +38,6 @@ __all__ = [
     "throughput_workload",
     "run_throughput_study",
     "render_throughput_study",
-    "write_throughput_json",
 ]
 
 #: Target selectivities mixed into the predicate pool (fraction of rows).
@@ -205,8 +202,23 @@ def run_throughput_study(
             "speedup_vs_serial": serial_seconds / seconds if seconds > 0 else 0.0,
         }
 
+    modes = {
+        "serial": mode(serial_seconds),
+        "sharded": {
+            **mode(sharded_seconds),
+            "dispatch_mode": sharded_index.dispatch_mode,
+        },
+        "executor": {
+            **mode(executor_seconds),
+            "dispatch_mode": engine_index.dispatch_mode,
+            "coalesced": coalesced,
+            "cache_hits": cache_hits,
+            "kernel_queries": kernel_queries,
+            "batches": batches,
+        },
+    }
     return {
-        "experiment": "throughput",
+        "study": "throughput",
         "config": {
             "n_rows": n_rows,
             "n_queries": n_queries,
@@ -218,22 +230,14 @@ def run_throughput_study(
             "cpu_count": os.cpu_count(),
             "selectivities": list(SELECTIVITIES),
         },
-        "modes": {
-            "serial": mode(serial_seconds),
-            "sharded": {
-                **mode(sharded_seconds),
-                "dispatch_mode": sharded_index.dispatch_mode,
-            },
-            "executor": {
-                **mode(executor_seconds),
-                "dispatch_mode": engine_index.dispatch_mode,
-                "coalesced": coalesced,
-                "cache_hits": cache_hits,
-                "kernel_queries": kernel_queries,
-                "batches": batches,
-            },
+        "modes": modes,
+        "headline": {
+            "speedup_sharded_vs_serial": modes["sharded"]["speedup_vs_serial"],
+            "speedup_executor_vs_serial": modes["executor"][
+                "speedup_vs_serial"
+            ],
         },
-        "verified_bit_identical": True,
+        "verified": True,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -272,11 +276,3 @@ def render_throughput_study(result: dict | None = None, **kwargs) -> str:
         f"{executor['cache_hits']} cache hits"
     )
     return f"{table}\n{footer}"
-
-
-def write_throughput_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_throughput.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

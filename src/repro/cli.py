@@ -417,8 +417,8 @@ def _cmd_throughput(args) -> str:
         render_throughput_study,
         run_throughput_study,
         scaled_defaults,
-        write_throughput_json,
     )
+    from .bench.runner import write_result
 
     sizes = scaled_defaults(_scale(args))
     result = run_throughput_study(
@@ -430,7 +430,7 @@ def _cmd_throughput(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_throughput_json(result, args.json)
+        write_result(result, args.json)
     return render_throughput_study(result)
 
 
@@ -439,8 +439,8 @@ def _cmd_materialization(args) -> str:
         DEFAULT_ROWS,
         render_materialization_study,
         run_materialization_study,
-        write_materialization_json,
     )
+    from .bench.runner import write_result
 
     result = run_materialization_study(
         n_rows=args.rows
@@ -450,7 +450,7 @@ def _cmd_materialization(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_materialization_json(result, args.json)
+        write_result(result, args.json)
     return render_materialization_study(result)
 
 
@@ -459,8 +459,8 @@ def _cmd_aggregates(args) -> str:
         DEFAULT_ROWS,
         render_aggregate_study,
         run_aggregate_study,
-        write_aggregates_json,
     )
+    from .bench.runner import write_result
 
     result = run_aggregate_study(
         n_rows=args.rows
@@ -470,7 +470,7 @@ def _cmd_aggregates(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_aggregates_json(result, args.json)
+        write_result(result, args.json)
     return render_aggregate_study(result)
 
 
@@ -480,8 +480,8 @@ def _cmd_streaming(args) -> str:
         PAGE_SIZE,
         render_streaming_study,
         run_streaming_study,
-        write_streaming_json,
     )
+    from .bench.runner import write_result
 
     result = run_streaming_study(
         n_rows=args.rows
@@ -494,7 +494,7 @@ def _cmd_streaming(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_streaming_json(result, args.json)
+        write_result(result, args.json)
     return render_streaming_study(result)
 
 
@@ -504,8 +504,8 @@ def _cmd_serving(args) -> str:
         render_serving_study,
         run_serving_study,
         scaled_defaults,
-        write_serving_json,
     )
+    from .bench.runner import write_result
 
     sizes = scaled_defaults(_scale(args))
     result = run_serving_study(
@@ -516,7 +516,7 @@ def _cmd_serving(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_serving_json(result, args.json)
+        write_result(result, args.json)
     return render_serving_study(result)
 
 
@@ -526,8 +526,8 @@ def _cmd_planner(args) -> str:
         DEFAULT_ROWS,
         render_planner_study,
         run_planner_study,
-        write_planner_json,
     )
+    from .bench.runner import write_result
 
     result = run_planner_study(
         n_rows=args.rows
@@ -540,7 +540,7 @@ def _cmd_planner(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_planner_json(result, args.json)
+        write_result(result, args.json)
     return render_planner_study(result)
 
 
@@ -549,8 +549,8 @@ def _cmd_dashboard(args) -> str:
         DEFAULT_ROWS,
         render_dashboard_study,
         run_dashboard_study,
-        write_dashboard_json,
     )
+    from .bench.runner import write_result
 
     result = run_dashboard_study(
         n_rows=args.rows
@@ -560,7 +560,7 @@ def _cmd_dashboard(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_dashboard_json(result, args.json)
+        write_result(result, args.json)
     return render_dashboard_study(result)
 
 
@@ -614,8 +614,8 @@ def _cmd_durability(args) -> str:
         render_durability_study,
         run_durability_study,
         scaled_defaults,
-        write_durability_json,
     )
+    from .bench.runner import write_result
 
     sizes = scaled_defaults(_scale(args))
     result = run_durability_study(
@@ -625,7 +625,7 @@ def _cmd_durability(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_durability_json(result, args.json)
+        write_result(result, args.json)
     return render_durability_study(result)
 
 
@@ -634,8 +634,8 @@ def _cmd_replication(args) -> str:
         render_replication_study,
         run_replication_study,
         scaled_defaults,
-        write_replication_json,
     )
+    from .bench.runner import write_result
 
     sizes = scaled_defaults(_scale(args))
     result = run_replication_study(
@@ -645,7 +645,7 @@ def _cmd_replication(args) -> str:
         smoke=args.smoke,
     )
     if args.json:
-        write_replication_json(result, args.json)
+        write_result(result, args.json)
     return render_replication_study(result)
 
 
