@@ -15,84 +15,73 @@ Figure 7   :mod:`repro.bench.size_time`          bench_fig7_overhead_entropy.py
 Figures    :mod:`repro.bench.queries_fig8_11`    bench_fig8..11_*.py
 8-11
 =========  ====================================  =========================
+
+The exports below load lazily (PEP 562): importing a submodule such as
+:mod:`repro.bench.regression` does not load every figure driver, and
+``from repro.bench import get_context`` loads only the module that
+defines it.
 """
 
-from .datasets_table import render_table1, table1_rows
-from .entropy_fig4 import entropy_cdf_rows, render_fig4
-from .prints_fig3 import FIG3_COLUMNS, fig3_entropies, render_fig3
-from .queries_fig8_11 import (
-    QueryMeasurement,
-    fig8_rows,
-    fig9_rows,
-    fig10_rows,
-    fig11_rows,
-    render_fig8,
-    render_fig9,
-    render_fig10,
-    render_fig11,
-    run_query_sweep,
-)
-from .query_kernels import (
-    kernel_study_rows,
-    query_compressed,
-    query_expanded,
-    render_kernel_study,
-)
-from .throughput import (
-    render_throughput_study,
-    run_throughput_study,
-    throughput_workload,
-)
-from .runner import METHODS, BenchContext, BuiltColumn, get_context, time_call
-from .size_time import (
-    fig5_rows,
-    fig5_summary,
-    fig6_rows,
-    fig7_rows,
-    render_fig5,
-    render_fig6,
-    render_fig7,
-)
-from .tables import format_bytes, format_seconds, format_table
+from __future__ import annotations
 
-__all__ = [
-    "get_context",
-    "BenchContext",
-    "BuiltColumn",
-    "METHODS",
-    "time_call",
-    "render_table1",
-    "table1_rows",
-    "render_fig3",
-    "fig3_entropies",
-    "FIG3_COLUMNS",
-    "render_fig4",
-    "entropy_cdf_rows",
-    "render_fig5",
-    "fig5_rows",
-    "fig5_summary",
-    "render_fig6",
-    "fig6_rows",
-    "render_fig7",
-    "fig7_rows",
-    "run_query_sweep",
-    "QueryMeasurement",
-    "render_fig8",
-    "fig8_rows",
-    "render_fig9",
-    "fig9_rows",
-    "render_fig10",
-    "fig10_rows",
-    "render_fig11",
-    "fig11_rows",
-    "render_kernel_study",
-    "kernel_study_rows",
-    "query_expanded",
-    "query_compressed",
-    "render_throughput_study",
-    "run_throughput_study",
-    "throughput_workload",
-    "format_table",
-    "format_bytes",
-    "format_seconds",
-]
+import importlib
+
+#: Exported name -> the submodule defining it.
+_EXPORTS = {
+    **dict.fromkeys(("render_table1", "table1_rows"), "datasets_table"),
+    **dict.fromkeys(("entropy_cdf_rows", "render_fig4"), "entropy_fig4"),
+    **dict.fromkeys(
+        ("FIG3_COLUMNS", "fig3_entropies", "render_fig3"), "prints_fig3"
+    ),
+    **dict.fromkeys(
+        (
+            "QueryMeasurement", "fig8_rows", "fig9_rows", "fig10_rows",
+            "fig11_rows", "render_fig8", "render_fig9", "render_fig10",
+            "render_fig11", "run_query_sweep",
+        ),
+        "queries_fig8_11",
+    ),
+    **dict.fromkeys(
+        (
+            "kernel_study_rows", "query_compressed", "query_expanded",
+            "render_kernel_study",
+        ),
+        "query_kernels",
+    ),
+    **dict.fromkeys(
+        (
+            "render_throughput_study", "run_throughput_study",
+            "throughput_workload",
+        ),
+        "throughput",
+    ),
+    **dict.fromkeys(
+        ("METHODS", "BenchContext", "BuiltColumn", "get_context", "time_call"),
+        "runner",
+    ),
+    **dict.fromkeys(
+        (
+            "fig5_rows", "fig5_summary", "fig6_rows", "fig7_rows",
+            "render_fig5", "render_fig6", "render_fig7",
+        ),
+        "size_time",
+    ),
+    **dict.fromkeys(
+        ("format_bytes", "format_seconds", "format_table"), "tables"
+    ),
+}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+

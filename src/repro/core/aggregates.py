@@ -57,9 +57,11 @@ float results to a tight relative tolerance.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .query import dense_span
 from .ranges import coalesce_ranges, expand_ranges
 from .rowset import RowSet
 
@@ -94,6 +96,8 @@ MOMENT_OPS = ("avg", "var", "std")
 GROUP_OPS = ("count", "sum", "avg")
 
 _I64 = np.int64
+_EMPTY = np.empty(0, dtype=_I64)
+_EMPTY.setflags(write=False)
 
 
 def _sum_dtype(dtype: np.dtype) -> np.dtype:
@@ -722,25 +726,73 @@ def aggregate_rowset(
 # ----------------------------------------------------------------------
 # candidate-range refinement (shared by every fused kernel)
 # ----------------------------------------------------------------------
-def _refine_partials(ranges, values, predicate, aggregates):
-    """Split candidate ranges into answered-from-sidecar vs gathered.
+@dataclass(frozen=True)
+class _Checked:
+    """Values a fused kernel checked against the predicate.
 
-    Returns ``(full_starts, full_stops, promoted, mixed_span,
-    mixed_values, mixed_mask)``: full cacheline ranges, individual
-    partial lines **promoted** to fully-qualifying because their exact
-    ``[min, max]`` sidecar bounds lie inside the predicate, and — for
-    lines genuinely straddling a predicate bound — the flat gathered id
-    span, its values, and the inline qualification mask.  Lines whose
-    bounds miss the predicate are dropped outright.  ``mixed_span`` /
-    ``mixed_values`` / ``mixed_mask`` are ``None`` when no line
-    straddles.
+    ``values`` sit at ``positions`` of the column — an id array on the
+    gather path, one slice on the dense path — and ``mask`` marks the
+    qualifying ones.
+    """
+
+    positions: np.ndarray | slice
+    values: np.ndarray
+    mask: np.ndarray
+
+    def kept(self, array: np.ndarray | None = None) -> np.ndarray:
+        """The qualifying elements of ``array`` (a column-aligned
+        array; default: the checked values themselves)."""
+        taken = self.values if array is None else array[self.positions]
+        # np.compress, not boolean indexing: several times faster on
+        # the irregular masks of high-entropy columns.
+        return np.compress(self.mask, taken)
+
+    def total(self, dtype: np.dtype, *, squares: bool = False):
+        """Sum (or sum of squares) of the qualifying values in ``dtype``."""
+        if not squares and self.values.dtype.kind in "iu":
+            # Zeroing the non-qualifying values skips the compress;
+            # exact for integers only (a float NaN times 0 is NaN).
+            return np.add.reduce(self.values * self.mask, dtype=dtype)
+        acc = self.kept().astype(dtype, copy=False)
+        return np.add.reduce(acc * acc if squares else acc)
+
+
+def _refine_partials(ranges, values, predicate, aggregates):
+    """Split candidate ranges into answered-from-sidecar vs checked.
+
+    Returns ``(full_starts, full_stops, promoted, checked)``: full
+    cacheline ranges and individual lines **promoted** to
+    fully-qualifying, both answered from the sidecar, and the
+    :class:`_Checked` values (``None`` when there are none).
+
+    When partial lines are dense (:func:`~repro.core.query.dense_span`)
+    every value of the span from the first partial line to the last is
+    checked in one contiguous pass; the full ranges inside the span
+    then leave the sidecar lanes and count through the mask instead.
+    Otherwise each partial line is refined through its exact ``[min,
+    max]`` sidecar bounds: a line inside the predicate is promoted, a
+    line missing it is dropped, and only lines genuinely straddling a
+    predicate bound gather their values.
     """
     vpc = aggregates.vpc
     n = aggregates.n_values
     full_starts, full_stops, part_starts, part_stops = ranges.split()
 
-    promoted = np.empty(0, dtype=_I64)
-    mixed_span = mixed_values = mixed_mask = None
+    span = dense_span(part_starts, part_stops)
+    if span is not None:
+        a, b = span
+        outside = (full_stops <= a) | (full_starts >= b)
+        positions = slice(a * vpc, min(b * vpc, n))
+        checked = values[positions]
+        return (
+            full_starts[outside],
+            full_stops[outside],
+            _EMPTY,
+            _Checked(positions, checked, predicate.matches(checked)),
+        )
+
+    promoted = _EMPTY
+    checked = None
     if part_starts.shape[0]:
         lines = expand_ranges(part_starts, part_stops)
         line_mins = aggregates.mins[lines]
@@ -757,25 +809,16 @@ def _refine_partials(ranges, values, predicate, aggregates):
         mixed = lines[~(inside | outside)]
         if mixed.shape[0]:
             mixed_ids = mixed * vpc
-            mixed_span = expand_ranges(mixed_ids, np.minimum(mixed_ids + vpc, n))
-            mixed_values = values[mixed_span]
-            # Inline low <= v < high; the where= reductions downstream
-            # then skip the survivor compress entirely.  (Both bounds
-            # unbounded cannot reach here: every line would have been
-            # promoted.)
-            if predicate.low_unbounded:
-                mixed_mask = mixed_values < predicate.high
-            elif predicate.high_unbounded:
-                mixed_mask = mixed_values >= predicate.low
-            else:
-                mixed_mask = (mixed_values >= predicate.low) & (
-                    mixed_values < predicate.high
-                )
-    return full_starts, full_stops, promoted, mixed_span, mixed_values, mixed_mask
+            positions = expand_ranges(mixed_ids, np.minimum(mixed_ids + vpc, n))
+            mixed_values = values[positions]
+            checked = _Checked(
+                positions, mixed_values, predicate.matches(mixed_values)
+            )
+    return full_starts, full_stops, promoted, checked
 
 
 def _candidate_count(
-    aggregates, full_starts, full_stops, promoted, mixed_mask
+    aggregates, full_starts, full_stops, promoted, checked
 ) -> int:
     vpc = aggregates.vpc
     n = aggregates.n_values
@@ -784,18 +827,18 @@ def _candidate_count(
         total += int(
             (np.minimum(promoted * vpc + vpc, n) - promoted * vpc).sum()
         )
-    if mixed_mask is not None:
-        total += int(np.count_nonzero(mixed_mask))
+    if checked is not None:
+        total += int(np.count_nonzero(checked.mask))
     return total
 
 
 def _candidate_sum(
-    aggregates, full_starts, full_stops, promoted, kept, *, squares: bool = False
+    aggregates, full_starts, full_stops, promoted, checked, *, squares: bool = False
 ):
     """Shared SUM/sum-of-squares lane over refined candidates.
 
-    ``kept`` is the flat array of qualifying straddle-line values (or
-    ``None``).  Returns a Python scalar in the accumulator dtype."""
+    ``checked`` is the :class:`_Checked` values (or ``None``).  Returns
+    a Python scalar in the accumulator dtype."""
     total = np.add.reduce(
         aggregates.range_sums(full_starts, full_stops, squares=squares).astype(
             aggregates.sum_dtype, copy=False
@@ -805,11 +848,8 @@ def _candidate_sum(
         total = total + np.add.reduce(
             aggregates.line_sums(promoted, squares=squares)
         )
-    if kept is not None and kept.shape[0]:
-        acc = kept.astype(aggregates.sum_dtype, copy=False)
-        if squares:
-            acc = acc * acc
-        total = total + np.add.reduce(acc)
+    if checked is not None:
+        total = total + checked.total(aggregates.sum_dtype, squares=squares)
     return aggregates.sum_dtype.type(total).item()
 
 
@@ -820,26 +860,22 @@ def candidate_moments(
 
     The shard-combinable moment partial behind ``avg``/``var``/``std``
     pushdown: same refinement as :func:`aggregate_candidates`, one pass
-    over the straddling lines, no id list.  ``squares=False`` skips the
+    over the checked values, no id list.  ``squares=False`` skips the
     sum-of-squares lane (all ``avg`` needs) and returns ``None`` in its
     place.
     """
-    (
-        full_starts,
-        full_stops,
-        promoted,
-        _span,
-        mixed_values,
-        mixed_mask,
-    ) = _refine_partials(ranges, values, predicate, aggregates)
-    kept = mixed_values[mixed_mask] if mixed_values is not None else None
-    count = _candidate_count(
-        aggregates, full_starts, full_stops, promoted, mixed_mask
+    full_starts, full_stops, promoted, checked = _refine_partials(
+        ranges, values, predicate, aggregates
     )
-    total = _candidate_sum(aggregates, full_starts, full_stops, promoted, kept)
+    count = _candidate_count(
+        aggregates, full_starts, full_stops, promoted, checked
+    )
+    total = _candidate_sum(
+        aggregates, full_starts, full_stops, promoted, checked
+    )
     total_sq = (
         _candidate_sum(
-            aggregates, full_starts, full_stops, promoted, kept, squares=True
+            aggregates, full_starts, full_stops, promoted, checked, squares=True
         )
         if squares
         else None
@@ -865,7 +901,10 @@ def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
     miss the predicate is dropped outright, and only lines genuinely
     straddling a predicate bound gather their values for the
     false-positive check — typically a small constant per answer run
-    instead of every bin-level false positive.
+    instead of every bin-level false positive.  When partial lines are
+    dense (a high-entropy column) the refinement is skipped for one
+    contiguous predicate pass over their span (see
+    :func:`_refine_partials`).
 
     Answers are identical to aggregating the equivalent
     :class:`RowSet` (and therefore to NumPy reference aggregation over
@@ -879,24 +918,18 @@ def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
         )
         return _finalize_moments(op, count, total, total_sq)
 
-    (
-        full_starts,
-        full_stops,
-        promoted,
-        _span,
-        mixed_values,
-        mixed_mask,
-    ) = _refine_partials(ranges, values, predicate, aggregates)
+    full_starts, full_stops, promoted, checked = _refine_partials(
+        ranges, values, predicate, aggregates
+    )
 
     if op == "count":
         return _candidate_count(
-            aggregates, full_starts, full_stops, promoted, mixed_mask
+            aggregates, full_starts, full_stops, promoted, checked
         )
 
     if op == "sum":
-        kept = mixed_values[mixed_mask] if mixed_values is not None else None
         return _candidate_sum(
-            aggregates, full_starts, full_stops, promoted, kept
+            aggregates, full_starts, full_stops, promoted, checked
         )
 
     reducer = np.minimum if op == "min" else np.maximum
@@ -913,10 +946,9 @@ def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
             else aggregates.maxs[promoted]
         )
         pieces.append(reducer.reduce(per_line))
-    if mixed_values is not None:
-        kept = mixed_values[mixed_mask]
-        if kept.shape[0]:
-            pieces.append(reducer.reduce(kept))
+    kept = checked.kept() if checked is not None else None
+    if kept is not None and kept.shape[0]:
+        pieces.append(reducer.reduce(kept))
     if not pieces:
         return None
     result = pieces[0]
@@ -932,20 +964,16 @@ def grouped_candidates(
 
     GROUP BY pushdown: full ranges and promoted lines are answered from
     the :class:`GroupedAggregates` prefix tables (two row lookups per
-    range, no ids); only lines straddling a predicate bound gather
-    their codes and values, and those survivors fold in through one
+    range, no ids); only the checked values (lines straddling a
+    predicate bound, or a dense span) gather their codes, and those
+    survivors fold in through one
     ``bincount`` / unbuffered ``add.at``.  Returns per-group arrays of
     shape ``(n_groups,)`` — shard-combinable by elementwise addition —
     with ``sums`` ``None`` when not requested (grouped ``count``).
     """
-    (
-        full_starts,
-        full_stops,
-        promoted,
-        mixed_span,
-        mixed_values,
-        mixed_mask,
-    ) = _refine_partials(ranges, values, predicate, aggregates)
+    full_starts, full_stops, promoted, checked = _refine_partials(
+        ranges, values, predicate, aggregates
+    )
     if promoted.shape[0]:
         # Promoted lines expand from contiguous partial ranges, so long
         # consecutive runs are the common case; coalescing them turns
@@ -959,10 +987,9 @@ def grouped_candidates(
     sums = (
         grouped.range_group_sums(full_starts, full_stops) if with_sums else None
     )
-    if mixed_span is not None:
-        kept_ids = mixed_span[mixed_mask]
-        if kept_ids.shape[0]:
-            kept_codes = np.asarray(codes)[kept_ids].astype(_I64, copy=False)
+    if checked is not None:
+        kept_codes = checked.kept(np.asarray(codes)).astype(_I64, copy=False)
+        if kept_codes.shape[0]:
             counts = counts + np.bincount(
                 kept_codes, minlength=grouped.n_groups
             ).astype(_I64, copy=False)
@@ -971,9 +998,7 @@ def grouped_candidates(
                 np.add.at(
                     extra,
                     kept_codes,
-                    mixed_values[mixed_mask].astype(
-                        grouped.sum_dtype, copy=False
-                    ),
+                    checked.kept().astype(grouped.sum_dtype, copy=False),
                 )
                 sums = sums + extra
     return counts, sums
@@ -990,29 +1015,25 @@ def topk_candidates(ranges, values, predicate, aggregates, k: int) -> list:
     visited in **descending order of their sidecar maxima**; once k
     values are in hand, any line whose max cannot beat the running
     k-th value — and every line after it in the ordering — is pruned
-    without gathering a single value.  Straddling lines were already
-    gathered during refinement, so their qualifying survivors join for
-    free.  Returns the k largest qualifying values, descending, as
-    Python scalars; ``[]`` when nothing qualifies or ``k <= 0``.
+    without gathering a single value.  Values checked during
+    refinement (straddling lines, or a dense span) were already
+    gathered, so their qualifying survivors join for free.  Returns
+    the k largest qualifying values, descending, as Python scalars;
+    ``[]`` when nothing qualifies or ``k <= 0``.
     """
     if k <= 0:
         return []
     vpc = aggregates.vpc
     n = aggregates.n_values
-    (
-        full_starts,
-        full_stops,
-        promoted,
-        _span,
-        mixed_values,
-        mixed_mask,
-    ) = _refine_partials(ranges, values, predicate, aggregates)
+    full_starts, full_stops, promoted, checked = _refine_partials(
+        ranges, values, predicate, aggregates
+    )
 
     definite = np.concatenate([expand_ranges(full_starts, full_stops), promoted])
     collected = []
     count = 0
-    if mixed_values is not None:
-        kept = mixed_values[mixed_mask]
+    if checked is not None:
+        kept = checked.kept()
         if kept.shape[0]:
             collected.append(kept)
             count = int(kept.shape[0])

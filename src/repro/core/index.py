@@ -322,8 +322,9 @@ class ColumnImprints(SecondaryIndex):
         pre-aggregates directly (prefix-sum O(1) range ``SUM``),
         partial candidates are refined through the sidecar's exact
         per-cacheline bounds (sharper than the bin-resolution
-        innermask), and only lines straddling a predicate bound touch
-        values — no id list, no :class:`RowSet`, no re-gather.
+        innermask), and only lines straddling a predicate bound (or,
+        on a high-entropy column, one contiguous span) touch values —
+        no id list, no :class:`RowSet`, no re-gather.
         """
         return aggregate_candidates(
             self.candidate_ranges(predicate),

@@ -72,6 +72,15 @@ __all__ = ["ImprintShard", "ShardedColumnImprints", "slice_imprints"]
 
 _U64 = np.uint64
 _LOW64 = (1 << 64) - 1
+#: Least stored imprint vectors per shard for which
+#: :attr:`ShardedColumnImprints.dispatch_mode` fans queries out on the
+#: thread pool.  Measured on a 2-vCPU VM, two shards of a 2M-row int32
+#: random walk with a growing share of random values (count and sum of
+#: 0.1-20% predicates): at 11k-35k vectors per shard the pool ran
+#: 1.2-2.4x slower than inline, at 42k-52k the two were even, and at
+#: 60k-62.5k (a high-entropy column, whose imprints do not compress)
+#: the pool ran 1.2-1.8x faster.
+POOL_MIN_VECTORS = 48 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,15 +314,22 @@ class ShardedColumnImprints(SecondaryIndex):
         thread pool) or ``"inline"`` (delegated to the inner unsharded
         index, bit-identical by construction).
 
-        Inline is chosen when ``n_workers == 1`` or there is a single
-        shard — the configurations where the fan-out can only add
-        overhead, the regression the throughput bench once measured as
-        sharded-slower-than-serial.  The serving bench records this
-        mode in ``BENCH_throughput.json``.
+        The choice follows the index's work, not the configured width
+        alone: the pool is used when there are several shards and
+        workers *and* each shard holds at least
+        :data:`POOL_MIN_VECTORS` stored imprint vectors.  A shard's
+        mask pass is proportional to its stored vectors, and a column
+        whose imprints barely compress is a high-entropy column whose
+        value check spans nearly the whole shard; on a well-compressed
+        (clustered) column each shard's work is smaller than the
+        fan-out's cost.  Re-evaluated per query, so appends that grow
+        the index can move it to the pool.  The throughput bench
+        records this mode in ``BENCH_throughput.json``.
         """
-        return (
-            "inline" if self._n_shards == 1 or self._n_workers == 1 else "pool"
-        )
+        if self._n_shards == 1 or self._n_workers == 1:
+            return "inline"
+        stored = self._inner.data.imprints.shape[0]
+        return "pool" if stored >= POOL_MIN_VECTORS * self._n_shards else "inline"
 
     def _shard_overlay_states(self) -> list:
         """Per-shard overlay prework, cached until the index mutates.

@@ -49,7 +49,11 @@ class QueryStats:
         zones for zonemaps, compressed words for WAH.
     value_comparisons:
         Paper Figure 11 (bottom): values inspected while weeding out
-        false positives (the scan inspects every value).
+        false positives (the scan inspects every value).  For imprints
+        this is the paper's candidate-value count, the values of the
+        partial candidate cachelines, whichever physical path checked
+        them: the dense path's contiguous pass over a span of mostly
+        partial lines leaves it unchanged.
     cachelines_fetched:
         Column cachelines actually loaded — the memory traffic the
         imprint index exists to avoid.

@@ -41,7 +41,7 @@ class SequentialScan(SecondaryIndex):
             value_comparisons=int(values.shape[0]),
             cachelines_fetched=self.column.n_cachelines,
         )
-        ids = np.flatnonzero(predicate.matches(values)).astype(np.int64)
+        ids = np.flatnonzero(predicate.matches(values)).astype(np.int64, copy=False)
         stats.ids_materialized = int(ids.shape[0])
         return QueryResult(
             rowset=RowSet.from_ids(ids), stats=stats

@@ -169,9 +169,11 @@ class RangePredicate:
         values = np.asarray(values)
         if self.is_empty:
             return np.zeros(values.shape, dtype=bool)
-        result = np.ones(values.shape, dtype=bool)
-        if not self.low_unbounded:
-            result &= values >= self.low
+        if self.low_unbounded:
+            if self.high_unbounded:
+                return np.ones(values.shape, dtype=bool)
+            return values < self.high
+        result = values >= self.low
         if not self.high_unbounded:
             result &= values < self.high
         return result

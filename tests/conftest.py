@@ -5,7 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import sharded
 from repro.storage import CHAR, DOUBLE, INT, LONG, REAL, SHORT, Column
+
+
+@pytest.fixture(autouse=True)
+def shard_pool_on_small_indexes(monkeypatch):
+    """Send sharded test indexes to the shard pool.
+
+    Test columns are far smaller than the work per shard at which
+    :attr:`ShardedColumnImprints.dispatch_mode` picks the pool
+    (``POOL_MIN_VECTORS``), so without this every sharded test would
+    run inline and never exercise the fan-out and stitch.  Tests of the
+    dispatch rule itself set the constant back.
+    """
+    monkeypatch.setattr(sharded, "POOL_MIN_VECTORS", 0)
 
 
 @pytest.fixture

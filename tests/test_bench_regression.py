@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -274,3 +277,22 @@ def test_committed_baselines_share_the_schema_and_pass(tmp_path):
         assert set(RESULT_KEYS) <= set(result), path.name
         assert isinstance(result["verified"], bool), path.name
     assert main([str(results), "--baseline", str(results)]) == 0
+
+
+def test_gate_import_skips_the_figure_drivers():
+    # The gate reads JSON only; the package's exports load on demand,
+    # so importing it must not pull in the figure drivers.
+    probe = (
+        "import sys, repro.bench.regression; "
+        "print('repro.bench.queries_fig8_11' in sys.modules)"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
+    from repro.bench import get_context, render_fig8
+
+    assert callable(get_context) and callable(render_fig8)

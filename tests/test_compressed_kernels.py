@@ -6,11 +6,14 @@ Algorithm 3 port and the brute-force scan, counters included, and
 run-level engine is that query cost is O(stored vectors).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import query as core_query
 from repro.core import (
     ColumnImprints,
     ImprintsBuilder,
@@ -24,11 +27,14 @@ from repro.core import (
     query_scalar,
     query_vectorized,
 )
+from repro.core.aggregates import AGGREGATE_OPS, GROUP_OPS
 from repro.core.dictionary import CachelineDictionary
+from repro.engine import ShardedColumnImprints
 from repro.predicate import RangePredicate
-from repro.storage import Column, INT
+from repro.storage import Column, GroupColumn, INT
 
 from .conftest import make_clustered, make_random
+from .test_aggregates import reference
 
 
 def build_data(column, seed=0):
@@ -282,3 +288,171 @@ class TestDictionaryCaches:
         first = dictionary.row_cacheline_spans()
         assert first[0] is dictionary.row_cacheline_spans()[0]
         assert not dictionary.expand_rows().flags.writeable
+
+
+# ----------------------------------------------------------------------
+# dense vs gather value checks
+# ----------------------------------------------------------------------
+#: DENSE_SHARE values forcing each branch of dense_span: 0 takes the
+#: contiguous span pass whenever a partial line exists, inf never does.
+BRANCHES = {"dense": 0.0, "gather": math.inf}
+N_GROUPS = 5
+
+
+def entropy_with_runs(n_lines=640, seed=70):
+    """High-entropy lines (every one partial for a mid-range predicate)
+    with constant runs whose lines the innermask proves full, so full
+    ranges sit inside the dense span; the length leaves a ragged tail."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 100_000, n_lines * 16 + 9).astype(np.int32)
+    for first, last in [(40, 43), (200, 201), (333, 340), (600, 602)]:
+        values[first * 16 : last * 16] = 50_000
+    return values
+
+
+def branch_predicates():
+    return [
+        RangePredicate.range(20_000, 80_000, INT),
+        RangePredicate.range(49_000, 51_000, INT),
+        RangePredicate.range(-math.inf, 60_000, INT),
+        RangePredicate.range(35_000, math.inf, INT),
+        RangePredicate.everything(),
+        RangePredicate.range(200_000, 300_000, INT),
+    ]
+
+
+def each_branch(monkeypatch):
+    for name, share in BRANCHES.items():
+        monkeypatch.setattr(core_query, "DENSE_SHARE", share)
+        yield name
+
+
+def grouped_oracle(values, codes, mask, op):
+    out = {}
+    for code in np.unique(codes[mask]):
+        member = values[mask & (codes == code)].astype(np.int64)
+        total = int(member.sum())
+        out[int(code)] = {
+            "count": member.shape[0], "sum": total,
+            "avg": total / member.shape[0],
+        }[op]
+    return out
+
+
+class TestDenseAndGatherBranches:
+    """Every consumer answers the oracle on both value-check branches,
+    with identical Figure 11 counters, sharded or not."""
+
+    def test_fixture_puts_full_ranges_inside_a_dense_span(self):
+        values = entropy_with_runs()
+        index = ColumnImprints(Column(values))
+        ranges = index.candidate_ranges(branch_predicates()[0])
+        full_starts, _, part_starts, part_stops = ranges.split()
+        a, b = core_query.dense_span(part_starts, part_stops)
+        assert np.any((full_starts > a) & (full_starts < b))
+        assert part_stops[-1] == index.data.n_cachelines  # ragged tail
+
+    def test_dense_span_rule(self, monkeypatch):
+        monkeypatch.setattr(core_query, "DENSE_SHARE", 0.25)
+        span = core_query.dense_span
+        empty = np.empty(0, dtype=np.int64)
+        assert span(empty, empty) is None
+        # A clustered answer: partial lines only at the two edges.
+        assert span(np.array([10, 900]), np.array([12, 902])) is None
+        assert span(np.array([10, 20]), np.array([15, 30])) == (10, 30)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8])
+    def test_ids_and_counters(self, monkeypatch, n_shards):
+        values = entropy_with_runs(seed=70 + n_shards)
+        column = Column(values)
+        serial = ColumnImprints(column)
+        stats = {}
+        sharded = ShardedColumnImprints(column, n_shards=n_shards, n_workers=2)
+        with sharded:
+            for name in each_branch(monkeypatch):
+                for i, predicate in enumerate(branch_predicates()):
+                    want = ground_truth(column, predicate)
+                    one = serial.query(predicate)
+                    many = sharded.query(predicate)
+                    batched = sharded.query_batch([predicate])[0]
+                    for got in (one, many, batched):
+                        assert np.array_equal(got.ids, want), (name, i)
+                        assert got.stats == one.stats, (name, i)
+                    stats.setdefault(i, []).append(one.stats)
+        for i, (dense, gather) in stats.items():
+            assert dense == gather, i
+
+    @pytest.mark.parametrize("n_shards", [1, 4, 7])
+    def test_aggregates_grouped_and_top_k(self, monkeypatch, n_shards):
+        values = entropy_with_runs(seed=80 + n_shards)
+        codes = np.random.default_rng(n_shards).integers(
+            0, N_GROUPS, values.shape[0]
+        )
+        column = Column(values)
+        serial = ColumnImprints(column)
+        sharded = ShardedColumnImprints(column, n_shards=n_shards, n_workers=2)
+        with sharded:
+            for index in (serial, sharded):
+                group = GroupColumn.from_codes(codes, N_GROUPS)
+                index.attach_group_column("g", group)
+            for name in each_branch(monkeypatch):
+                for predicate in branch_predicates():
+                    mask = predicate.matches(values)
+                    ids = np.flatnonzero(mask)
+                    top = sorted(values[ids].tolist(), reverse=True)[:20]
+                    for index in (serial, sharded):
+                        for op in AGGREGATE_OPS:
+                            want = reference(values, ids, op)
+                            got = index.aggregate(predicate, op)
+                            assert got == want, (name, op)
+                        for op in GROUP_OPS:
+                            want = grouped_oracle(values, codes, mask, op)
+                            got = index.aggregate_grouped(predicate, op, "g")
+                            assert got == want, (name, op)
+                        assert index.top_k(predicate, 20) == top, name
+
+    def test_in_list(self, monkeypatch):
+        values = entropy_with_runs(seed=90)
+        index = ColumnImprints(Column(values))
+        members = [50_000, 7, 99_999] + list(range(10_000, 90_000, 997))
+        results = {}
+        for name in each_branch(monkeypatch):
+            result = query_in_list(index, members)
+            want = np.flatnonzero(np.isin(values, members))
+            assert np.array_equal(result.ids, want), name
+            results[name] = result.stats
+        assert results["dense"] == results["gather"]
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_updates_and_ragged_appends(self, monkeypatch, n_shards):
+        rng = np.random.default_rng(95 + n_shards)
+        column = Column(entropy_with_runs(n_lines=300, seed=95))
+        serial = ColumnImprints(column)
+        sharded = ShardedColumnImprints(column, n_shards=n_shards, n_workers=2)
+        with sharded:
+            for round_ in range(3):
+                for index in (serial, sharded):
+                    # Build the sidecar, so the mutations maintain it.
+                    index.aggregate(branch_predicates()[0], "sum")
+                appended = rng.integers(-5_000, 120_000, 16 * 7 + 5)
+                appended = appended.astype(np.int32)
+                serial.append(appended)
+                sharded.append(appended)
+                for _ in range(25):
+                    victim = int(rng.integers(0, len(serial.column)))
+                    value = int(rng.integers(-5_000, 120_000))
+                    serial.note_update(victim, value)
+                    sharded.note_update(victim, value)
+                assert serial._overlay
+                current = serial.column.values
+                assert np.array_equal(sharded.column.values, current)
+                for name in each_branch(monkeypatch):
+                    for predicate in branch_predicates():
+                        ids = np.flatnonzero(predicate.matches(current))
+                        for index in (serial, sharded):
+                            got = index.query(predicate).ids
+                            assert np.array_equal(got, ids), (name, round_)
+                            for op in AGGREGATE_OPS:
+                                want = reference(current, ids, op)
+                                got = index.aggregate(predicate, op)
+                                assert got == want, (name, op, round_)

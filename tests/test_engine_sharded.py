@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import ColumnImprints
 from repro.engine import ShardedColumnImprints, slice_imprints
+from repro.engine import sharded as sharded_engine
 from repro.predicate import RangePredicate
 from repro.storage import INT, Column
 
@@ -194,3 +195,50 @@ class TestShardEquivalence:
             assert sharded.histogram.bins == plain.histogram.bins
             assert not sharded.needs_rebuild
             assert sharded.kind == "imprints-sharded"
+
+
+# ----------------------------------------------------------------------
+# pool or inline, from the index's work
+# ----------------------------------------------------------------------
+class TestDispatchByWork:
+    def test_pool_needs_enough_stored_vectors_per_shard(self, monkeypatch):
+        monkeypatch.setattr(sharded_engine, "POOL_MIN_VECTORS", 300)
+        wide = Column(make_random(20_000, np.int32, seed=101))
+        narrow = Column(np.repeat(np.arange(40, dtype=np.int32), 500))
+        with ShardedColumnImprints(wide, n_shards=2, n_workers=2) as index:
+            assert index.data.imprints.shape[0] >= 2 * 300
+            assert index.dispatch_mode == "pool"
+        with ShardedColumnImprints(wide, n_shards=8, n_workers=2) as index:
+            assert index.data.imprints.shape[0] < 8 * 300
+            assert index.dispatch_mode == "inline"
+        with ShardedColumnImprints(narrow, n_shards=2, n_workers=8) as index:
+            assert index.data.imprints.shape[0] < 2 * 300
+            assert index.dispatch_mode == "inline"
+        with ShardedColumnImprints(wide, n_shards=2, n_workers=1) as index:
+            assert index.dispatch_mode == "inline"
+
+    def test_default_keeps_small_indexes_inline(self, monkeypatch):
+        monkeypatch.undo()  # the suite pins the pool; use the real rule
+        column = Column(make_random(20_000, np.int32, seed=103))
+        predicate = RangePredicate.range(1_000, 60_000, INT)
+        with ShardedColumnImprints(column, n_shards=4, n_workers=4) as index:
+            assert index.dispatch_mode == "inline"
+            assert_identical(
+                ColumnImprints(column).query(predicate), index.query(predicate)
+            )
+            assert index.aggregate(predicate, "count") == predicate.count(column.values)
+            assert index._pool is None
+
+    def test_appends_move_the_index_to_the_pool(self, monkeypatch):
+        monkeypatch.setattr(sharded_engine, "POOL_MIN_VECTORS", 300)
+        column = Column(np.repeat(np.arange(8, dtype=np.int32), 500))
+        rng = np.random.default_rng(104)
+        with ShardedColumnImprints(column, n_shards=2, n_workers=2) as index:
+            assert index.dispatch_mode == "inline"
+            index.append(rng.integers(0, 8, 16_000).astype(np.int32))
+            assert index.dispatch_mode == "pool"
+            predicate = RangePredicate.range(2, 6, INT)
+            assert_identical(
+                ColumnImprints(index.column).query(predicate), index.query(predicate)
+            )
+            assert index._pool is not None
